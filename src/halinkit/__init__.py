@@ -17,8 +17,8 @@ from .groups import GroupTooLargeError, PermGroup
 from .invariants import (Bounds, BudgetExceededError, StabilizerChain, bounds,
                          determining_number, disjoint_translate,
                          distinguishing_cost, greedy_distinguishing_chain,
-                         is_base, is_distinguishing, longest_subgroup_chain,
-                         motion, motion_of, reducing_vertex, subdegree_report)
+                         is_base, is_distinguishing, motion, motion_of,
+                         reducing_vertex, subdegree_report)
 from .limitsim import (ConstructionState, EpsilonWord, alpha,
                        alpha_inverse_perm, alpha_perm, depth_budget,
                        fixing_oracle, run_construction, verify_distinctness,
@@ -37,9 +37,8 @@ __all__ = [
     "GroupTooLargeError", "PermGroup",
     "Bounds", "BudgetExceededError", "StabilizerChain", "bounds",
     "determining_number", "disjoint_translate", "distinguishing_cost",
-    "greedy_distinguishing_chain", "is_base", "is_distinguishing",
-    "longest_subgroup_chain", "motion", "motion_of", "reducing_vertex",
-    "subdegree_report",
+    "greedy_distinguishing_chain", "is_base", "is_distinguishing", "motion",
+    "motion_of", "reducing_vertex", "subdegree_report",
     "ConstructionState", "EpsilonWord", "alpha", "alpha_inverse_perm",
     "alpha_perm", "depth_budget", "fixing_oracle", "run_construction",
     "verify_distinctness", "verify_finitary",

@@ -104,19 +104,6 @@ def _individualize(partition: ColoredPartition, cell_index: int,
     return ColoredPartition(cells)
 
 
-def _orbit_of(points: Iterable[int], gens: Sequence[Permutation]) -> set[int]:
-    seen = set(points)
-    queue = list(seen)
-    while queue:
-        a = queue.pop()
-        for g in gens:
-            b = g(a)
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
-
-
 def automorphism_group(g: Graph) -> PermGroup:
     """Generators for the full automorphism group of the graph.
 
@@ -162,8 +149,9 @@ def automorphism_group(g: Graph) -> PermGroup:
             # known automorphism fixing the individualized path contribute
             # no new generators.
             if tried:
-                fixing = [p for p in gens if all(p(x) == x for x in path)]
-                if fixing and v in _orbit_of(tried, fixing):
+                fixing = PermGroup(n, [p for p in gens
+                                       if all(p(x) == x for x in path)])
+                if not fixing.orbit(v).isdisjoint(tried):
                     continue
             search(refine(g, _individualize(partition, ti, v)), path + (v,))
             tried.append(v)

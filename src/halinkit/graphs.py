@@ -260,14 +260,23 @@ def from_json(obj: str | dict) -> Graph:
     if "n" not in obj or "edges" not in obj:
         raise ValueError("JSON graph requires 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("'n' must be an integer")
     edges = obj["edges"]
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and
-            all(isinstance(x, int) for x in e) for e in edges):
+            all(_is_int(x) for x in e) for e in edges):
         raise ValueError("'edges' must be a list of [i, j] pairs")
-    return Graph(n, edges, obj.get("labels"))
+    labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(lab, str) for lab in labels)):
+        raise ValueError("'labels' must be a list of strings")
+    return Graph(n, edges, labels)
+
+
+def _is_int(x: object) -> bool:
+    """JSON integers only: bool is a subclass of int but not a vertex."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def to_json(g: Graph) -> dict:

@@ -234,26 +234,31 @@ class PermGroup:
             elems = [t[a] * e for a in sorted(t) for e in elems]
         return elems
 
-    def point_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """Subgroup fixing every given point, read off a prefixed chain."""
+    def _prefixed(self, points: Iterable[int]
+                  ) -> tuple[_Chain, list[Permutation]]:
+        """The chain rebuilt with the sorted points as its leading base
+        points, and the strong generators fixing every one of them (they
+        generate the pointwise stabilizer of the points).  Every stabilizer
+        query reads this; a point out of range raises ValueError."""
         ordered = sorted(set(points))
-        if not ordered:
-            return PermGroup(self.degree, self.generators)
         # seeding with the default chain's strong generators makes the
         # prefixed rebuild converge in few rounds
         chain = _schreier_sims(self.degree, self.chain().strong_gens,
                                prefix=ordered)
-        m = len(ordered)
-        stab_gens = [g for g in chain.strong_gens
-                     if all(g(p) == p for p in ordered)]
+        return chain, [g for g in chain.strong_gens
+                       if all(g(p) == p for p in ordered)]
+
+    def point_stabilizer(self, points: Iterable[int]) -> "PermGroup":
+        """Subgroup fixing every given point, read off a prefixed chain."""
+        points = frozenset(points)
+        if not points:
+            return PermGroup(self.degree, self.generators)
+        chain, stab_gens = self._prefixed(points)
+        m = len(points)
         group = PermGroup(self.degree, stab_gens)
         group._chain = _Chain(self.degree, chain.base[m:], chain.gens[m:],
                               chain.transversals[m:], stab_gens)
         return group
-
-    def _prefixed_chain(self, ordered: list[int]) -> _Chain:
-        return _schreier_sims(self.degree, self.chain().strong_gens,
-                              prefix=ordered)
 
     def _set_stab_reps(self, chain: _Chain, target: frozenset[int],
                        limit: int | None = None) -> list[Permutation]:
@@ -285,18 +290,12 @@ class PermGroup:
         pointwise stabilizer generates the setwise stabilizer.
         """
         target = frozenset(points)
-        if not all(0 <= p < self.degree for p in target):
-            raise ValueError("set stabilizer points out of range")
-        ordered = sorted(target)
-        if not ordered:
+        if not target:
             return PermGroup(self.degree, self.generators)
-        chain = self._prefixed_chain(ordered)
-        point_stab_gens = [g for g in chain.strong_gens
-                           if all(g(p) == p for p in ordered)]
+        chain, gens = self._prefixed(target)
         reps = self._set_stab_reps(chain, target)
         # Compress: distinct coset representatives can be numerous, but each
         # new generator at least doubles the group, so few survive.
-        gens: list[Permutation] = list(point_stab_gens)
         group = PermGroup(self.degree, gens)
         for rep in reps:
             if not rep.is_identity() and not group.contains(rep):
@@ -311,14 +310,10 @@ class PermGroup:
         backtracking as soon as a second coset representative shows up.
         """
         target = frozenset(points)
-        if not all(0 <= p < self.degree for p in target):
-            raise ValueError("set stabilizer points out of range")
-        ordered = sorted(target)
-        if not ordered:
+        if not target:
             return self.order() == 1
-        chain = self._prefixed_chain(ordered)
-        if any(not g.is_identity() and all(g(p) == p for p in ordered)
-               for g in chain.strong_gens):
+        chain, pointwise = self._prefixed(target)
+        if pointwise:
             return False  # nontrivial pointwise stabilizer
         return len(self._set_stab_reps(chain, target, limit=2)) == 1
 

@@ -18,7 +18,6 @@ from .groups import PermGroup
 from .perms import Permutation
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
-ENUM_LIMIT = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -106,15 +105,12 @@ def is_distinguishing(group: PermGroup, points: Iterable[int]) -> bool:
     return group.set_stabilizer_is_trivial(points)
 
 
-def determining_number(
-        group: PermGroup,
-        budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, tuple[int, ...]]:
-    """Minimum base size with its lexicographically least witness.
-
-    Size-ascending search; the full vertex set is always a base for a
-    faithful action, so the search terminates.  Returns (0, ()) for the
-    trivial group.
-    """
+def _least_subset(group: PermGroup, pred, budget: int
+                  ) -> tuple[int, tuple[int, ...]] | None:
+    """The first subset in size-ascending lexicographic order that satisfies
+    ``pred(group, subset)``, with its size; (0, ()) for the trivial group
+    and None if no subset does.  Every subset examined counts against the
+    budget."""
     if group.is_trivial():
         return 0, ()
     examined = 0
@@ -123,9 +119,21 @@ def determining_number(
             examined += 1
             if examined > budget:
                 raise BudgetExceededError(examined, budget)
-            if is_base(group, subset):
+            if pred(group, subset):
                 return k, subset
-    raise AssertionError("a faithful group must have the full set as a base")
+    return None
+
+
+def determining_number(
+        group: PermGroup,
+        budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, tuple[int, ...]]:
+    """Minimum base size with its lexicographically least witness.
+
+    Size-ascending search; the full vertex set is always a base for a
+    faithful action, so the search terminates with a witness.  Returns
+    (0, ()) for the trivial group.
+    """
+    return _least_subset(group, is_base, budget)
 
 
 def distinguishing_cost(
@@ -136,17 +144,7 @@ def distinguishing_cost(
     Nonexistence (every subset has a nontrivial setwise stabilizer, as in
     complete graphs) is reported only after exhausting all subsets.
     """
-    if group.is_trivial():
-        return 0, ()
-    examined = 0
-    for k in range(1, group.degree + 1):
-        for subset in combinations(range(group.degree), k):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(examined, budget)
-            if is_distinguishing(group, subset):
-                return k, subset
-    return None
+    return _least_subset(group, is_distinguishing, budget)
 
 
 def motion_of(p: Permutation) -> int:
@@ -154,30 +152,17 @@ def motion_of(p: Permutation) -> int:
     return p.num_moved()
 
 
-def motion(group: PermGroup,
-           enum_limit: int = ENUM_LIMIT) -> tuple[int, Permutation]:
+def motion(group: PermGroup) -> tuple[int, Permutation]:
     """Minimum motion over nontrivial elements, with a witness.
 
-    Enumerates the group when its order fits the limit; otherwise runs a
-    branch-and-bound search over the stabilizer chain, pruning partial coset
-    products whose decided base-point images already move too much.
+    Branch-and-bound over the stabilizer chain.  Partial coset products are
+    visited in the order :meth:`PermGroup.elements` lists the group, a
+    product whose decided base-point images already move as many points as
+    the best witness is pruned, and the witness changes only on a strict
+    improvement, so it is the first minimum-motion element of that listing.
     """
     if group.order() <= 1:
         raise ValueError("motion is undefined for the trivial group")
-    if group.order() <= enum_limit:
-        best: tuple[int, Permutation] | None = None
-        for p in group.elements(enum_limit):
-            if p.is_identity():
-                continue
-            m = p.num_moved()
-            if best is None or m < best[0]:
-                best = (m, p)
-        assert best is not None
-        return best
-    return _motion_search(group)
-
-
-def _motion_search(group: PermGroup) -> tuple[int, Permutation]:
     chain = group.chain()
     base = chain.base
     identity = Permutation.identity(group.degree)
@@ -238,14 +223,13 @@ def disjoint_translate(group: PermGroup, y: Iterable[int],
     return rec(0, Permutation.identity(group.degree))
 
 
-def reducing_vertex(group: PermGroup, y: Iterable[int],
-                    enum_limit: int = ENUM_LIMIT) -> int | None:
+def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     """Least vertex whose addition strictly cuts the setwise stabilizer of Y.
 
     Tries the candidate filter from the subgroup-reduction argument first:
-    collect D = {a in group : a(Y) meets Y}, X = union of a(Y) over D, and
-    prefer vertices outside X that are moved by the stabilizer of Y.  Falls
-    back to scanning every vertex.  Returns None ("stalled") when no vertex
+    with X = union of a(Y) over the elements a with a(Y) meeting Y, prefer
+    vertices outside X that are moved by the stabilizer of Y.  Falls back
+    to scanning every vertex.  Returns None ("stalled") when no vertex
     produces a proper subgroup, which finite graphs can legitimately hit.
     """
     yset = frozenset(y)
@@ -259,16 +243,18 @@ def reducing_vertex(group: PermGroup, y: Iterable[int],
     moved_by_stab: set[int] = set()
     for gen in stab_y.generators:
         moved_by_stab.update(gen.support())
-
-    filtered: list[int] = []
-    if group.order() <= enum_limit:
-        x_union: set[int] = set()
-        for a in group.elements(enum_limit):
-            image = {a(v) for v in yset}
-            if image & yset:
-                x_union |= image
-        filtered = sorted(v for v in moved_by_stab
-                          if v not in x_union and v not in yset)
+    # v is in X iff some a maps a pair of Y x Y to (y, v) with y in Y, so X
+    # is read off the closure of Y x Y under the generators.
+    pairs = {(u, v) for u in yset for v in yset}
+    queue = list(pairs)
+    while queue:
+        u, v = queue.pop()
+        for gen in group.generators:
+            image = (gen(u), gen(v))
+            if image not in pairs:
+                pairs.add(image)
+                queue.append(image)
+    filtered = sorted(moved_by_stab - {v for u, v in pairs if u in yset})
 
     rest = sorted(v for v in range(group.degree)
                   if v not in yset and v not in filtered)
@@ -321,67 +307,3 @@ def subdegree_report(group: PermGroup) -> list[tuple[int, int]]:
         largest = max((len(o) for o in stab.orbits()), default=1)
         out.append((v, largest))
     return out
-
-
-def longest_subgroup_chain(n: int) -> int:
-    """Exact longest strict subgroup chain length in Sym(n), for n <= 5.
-
-    Enumerates the full subgroup lattice by closing subgroups under one
-    added element at a time, then takes the longest path by dynamic
-    programming over the inclusion order.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 5:
-        raise ValueError("subgroup lattice enumeration is limited to n <= 5")
-    from itertools import permutations as iter_perms
-
-    elems = [tuple(p) for p in iter_perms(range(n))]
-    index = {p: i for i, p in enumerate(elems)}
-    size = len(elems)
-    mul = [[0] * size for _ in range(size)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i][j] = index[tuple(p[x] for x in q)]
-
-    ident = index[tuple(range(n))]
-
-    def closure(seed: frozenset[int]) -> frozenset[int]:
-        members = set(seed) | {ident}
-        frontier = list(members)
-        while frontier:
-            new = []
-            for a in frontier:
-                row = mul[a]
-                for b in list(members):
-                    for c in (row[b], mul[b][a]):
-                        if c not in members:
-                            members.add(c)
-                            new.append(c)
-            frontier = new
-        return frozenset(members)
-
-    trivial = frozenset({ident})
-    subgroups = {trivial}
-    queue = [trivial]
-    while queue:
-        h = queue.pop()
-        for g in range(size):
-            if g in h:
-                continue
-            k = closure(h | {g})
-            if k not in subgroups:
-                subgroups.add(k)
-                queue.append(k)
-
-    ordered = sorted(subgroups, key=len)
-    longest: dict[frozenset[int], int] = {}
-    for h in ordered:
-        best = 0
-        for k in ordered:
-            if len(k) >= len(h):
-                break
-            if k < h:
-                best = max(best, longest[k] + 1)
-        longest[h] = best
-    return longest[frozenset(range(size))]

@@ -73,3 +73,53 @@ def brute_motion(elems):
     if best is None:
         raise ValueError("trivial group")
     return best
+
+
+def longest_subgroup_chain(n):
+    """Exact longest strict subgroup chain length in Sym(n), for n <= 5.
+
+    Enumerates the full subgroup lattice: every subgroup found is kept with
+    the generators that produced it, and each element outside it gives a
+    larger subgroup, closed over the generators plus that element.  The
+    longest path then comes from dynamic programming over inclusion.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > 5:
+        raise ValueError("subgroup lattice enumeration is limited to n <= 5")
+    elems = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    mul = [[index[tuple(p[x] for x in q)] for q in elems] for p in elems]
+    ident = index[tuple(range(n))]
+
+    def closure(gens):
+        members = {ident}
+        queue = [ident]
+        while queue:
+            a = queue.pop()
+            for g in gens:
+                c = mul[a][g]
+                if c not in members:
+                    members.add(c)
+                    queue.append(c)
+        return frozenset(members)
+
+    trivial = frozenset({ident})
+    subgroups = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        h = queue.pop()
+        for g in range(len(elems)):
+            if g not in h:
+                gens = subgroups[h] + (g,)
+                k = closure(gens)
+                if k not in subgroups:
+                    subgroups[k] = gens
+                    queue.append(k)
+
+    ordered = sorted(subgroups, key=len)
+    longest = {}
+    for h in ordered:
+        longest[h] = max((longest[k] + 1 for k in ordered
+                          if len(k) < len(h) and k < h), default=0)
+    return longest[frozenset(range(len(elems)))]

@@ -17,8 +17,7 @@ from halinkit.graphs import binary_tree, petersen
 from halinkit.groups import PermGroup
 from halinkit.invariants import (bounds, determining_number,
                                  distinguishing_cost,
-                                 greedy_distinguishing_chain, is_base,
-                                 longest_subgroup_chain, motion)
+                                 greedy_distinguishing_chain, is_base, motion)
 from halinkit.limitsim import (EpsilonWord, alpha, alpha_inverse_perm,
                                alpha_perm, depth_budget, run_construction,
                                verify_distinctness, verify_finitary)
@@ -27,7 +26,8 @@ from halinkit.topology import Exhaustion, check_cauchy, dist
 
 from corpus import small_corpus
 from oracles import (brute_automorphisms, brute_determining_number,
-                     brute_distinguishing_cost, brute_motion)
+                     brute_distinguishing_cost, brute_motion,
+                     longest_subgroup_chain)
 
 
 def _announce(number: int, text: str) -> None:

@@ -110,6 +110,12 @@ class TestLimitSim:
                                "--depth", "5", "--k", "0")
         assert code == 2
 
+    def test_bad_family_size_exit2(self, capsys):
+        code, _, err = run_cli(capsys, "limit-sim", "--family", "comb",
+                               "--depth", "0", "--k", "2")
+        assert code == 2
+        assert "depth" in err
+
     def test_exhausted_exit4(self, capsys):
         code, out, _ = run_cli(capsys, "limit-sim", "--family", "binary-tree",
                                "--depth", "2", "--k", "5")
@@ -165,6 +171,33 @@ class TestInputChannels:
                             io.StringIO('{"n": 2, "edges": [], "foo": 1}'))
         code, _, err = run_cli(capsys, "aut", "--input", "-")
         assert code == 2
+
+    @pytest.mark.parametrize("blob", [
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[false, true]]}',
+        '{"n": 2, "edges": [[0, 1]], "labels": [0, 1]}',
+    ], ids=["bool-n", "bool-endpoints", "int-labels"])
+    def test_json_malformed_values_exit2(self, capsys, monkeypatch, blob):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        code, out, err = run_cli(capsys, "aut", "--input", "-")
+        assert code == 2 and out == ""
+        assert "bad JSON graph" in err
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_graph6_n60(self, capsys, monkeypatch, tmp_path, via):
+        # the graph6 size byte of a 60-vertex graph is chr(60 + 63) == "{"
+        text = encode_graph6(cycle(60))
+        assert text.startswith("{")
+        source = "-"
+        if via == "file":
+            source = str(tmp_path / "c60.g6")
+            with open(source, "w", encoding="ascii") as fh:
+                fh.write(text + "\n")
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, "aut", "--input", source)
+        assert code == 0
+        assert payload(out)["results"]["order"] == 120
 
 
 class TestDeterminism:

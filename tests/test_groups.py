@@ -122,6 +122,13 @@ class TestSetStabilizer:
         for p in stab.elements():
             assert {p(v) for v in s} == s
 
+    @pytest.mark.parametrize("query", ["point_stabilizer", "set_stabilizer",
+                                       "set_stabilizer_is_trivial"])
+    @pytest.mark.parametrize("points", [{0, 8}, {-1}])
+    def test_points_out_of_range(self, d8, query, points):
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(d8, query)(points)
+
 
 class TestElements:
     def test_trivial(self):

@@ -1,20 +1,21 @@
 import pytest
 
 from halinkit.autgroup import automorphism_group
-from halinkit.graphs import Graph, complete, cycle, path, petersen
+from halinkit.graphs import (Graph, complete, complete_bipartite, cycle, path,
+                             petersen)
 from halinkit.invariants import (Bounds, BudgetExceededError, bounds,
                                  determining_number, disjoint_translate,
                                  distinguishing_cost,
                                  greedy_distinguishing_chain, is_base,
-                                 is_distinguishing, longest_subgroup_chain,
-                                 motion, motion_of, reducing_vertex,
-                                 subdegree_report)
+                                 is_distinguishing, motion, motion_of,
+                                 reducing_vertex, subdegree_report)
 from halinkit.perms import Permutation
 from halinkit.groups import PermGroup
 
 from conftest import dihedral
 from oracles import (brute_automorphisms, brute_determining_number,
-                     brute_distinguishing_cost, brute_motion)
+                     brute_distinguishing_cost, brute_motion,
+                     longest_subgroup_chain)
 
 
 def aut(g):
@@ -137,10 +138,14 @@ class TestMotion:
             motion(PermGroup(4))
 
     def test_search_path_matches_enumeration(self):
-        # force the branch-and-bound route and compare to the enumeration route
+        # the branch-and-bound witness is the first minimum-motion element
+        # in the order PermGroup.elements lists the group
         for g in [cycle(8), complete(5), petersen()]:
             group = aut(g)
-            assert motion(group, enum_limit=1)[0] == motion(group)[0]
+            nontrivial = [p for p in group.elements() if not p.is_identity()]
+            least = min(p.num_moved() for p in nontrivial)
+            first = next(p for p in nontrivial if p.num_moved() == least)
+            assert motion(group) == (least, first)
 
     def test_matches_oracle(self):
         for g in [path(5), cycle(7), complete(6), petersen()]:
@@ -230,6 +235,38 @@ class TestGreedyChain:
             base = determining_number(group)[1]
             chain = greedy_distinguishing_chain(group, base)
             assert all(a > b for a, b in zip(chain.orders, chain.orders[1:]))
+
+
+class TestNoEnumeration:
+    # (graph, determining number, distinguishing cost, motion witness,
+    #  greedy chain from the least base: added, orders, stalled)
+    PINNED = [
+        (cycle(8), (2, (0, 1)), (3, (0, 1, 3)), (2, 1, 0, 7, 6, 5, 4, 3),
+         ((3,), (2, 1), False)),
+        (complete(5), (4, (0, 1, 2, 3)), None, (3, 1, 2, 0, 4),
+         ((), (24,), True)),
+        (complete_bipartite(3, 3), (4, (0, 1, 3, 4)), None,
+         (0, 1, 2, 4, 3, 5), ((), (8,), True)),
+        (petersen(), (3, (0, 1, 3)), None, (3, 8, 5, 0, 4, 2, 6, 7, 1, 9),
+         ((), (2,), True)),
+    ]
+
+    @pytest.mark.parametrize("g,det,cost,witness,greedy", PINNED,
+                             ids=["C8", "K5", "K33", "petersen"])
+    def test_answers_without_listing_the_group(self, monkeypatch, g, det,
+                                               cost, witness, greedy):
+        group = aut(g)
+
+        def refuse(self, limit=None):
+            raise AssertionError("the group was enumerated")
+
+        monkeypatch.setattr(PermGroup, "elements", refuse)
+        assert determining_number(group) == det
+        assert distinguishing_cost(group) == cost
+        m, p = motion(group)
+        assert p.images == witness and m == p.num_moved()
+        chain = greedy_distinguishing_chain(group, det[1])
+        assert (chain.added, chain.orders, chain.stalled) == greedy
 
 
 class TestSubgroupChains:
