@@ -48,9 +48,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_SUBSET_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise InputError(f"{BUDGET_ENV} must be >= 0, got {budget}")
+    return budget
 
 
 def _load_graph(args: argparse.Namespace) -> Graph | TruncatedFamily:
@@ -289,6 +292,8 @@ def _cmd_topology(args) -> tuple[dict, int]:
     g = _as_graph(_load_graph(args))
     if args.exhaustion is None:
         raise InputError("topology needs --exhaustion \"i,j|i,j,k|...\"")
+    if args.triples < 0:
+        raise InputError(f"--triples must be >= 0, got {args.triples}")
     exhaustion = _parse_exhaustion(args.exhaustion, g.n)
     results: dict = {
         "exhaustion": [sorted(s) for s in exhaustion.sets],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
 from .groups import PermGroup
 from .perms import Permutation
@@ -23,11 +22,12 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 class BudgetExceededError(RuntimeError):
     """An exhaustive subset search hit its budget before finishing."""
 
-    def __init__(self, examined: int, budget: int):
-        super().__init__(
-            f"subset search budget exhausted ({examined} > {budget})")
+    def __init__(self, examined: int, budget: int, size: int):
+        super().__init__(f"subset search budget exhausted at size {size} "
+                         f"({examined} > {budget})")
         self.examined = examined
         self.budget = budget
+        self.size = size
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,37 @@ def is_distinguishing(group: PermGroup, points: Iterable[int]) -> bool:
 
 def _least_subset(group: PermGroup, pred, budget: int
                   ) -> tuple[int, tuple[int, ...]] | None:
-    """The first subset in size-ascending lexicographic order that satisfies
-    ``pred(group, subset)``, with its size; (0, ()) for the trivial group
-    and None if no subset does.  Every subset examined counts against the
-    budget."""
+    """The first base in size-ascending lexicographic order that also
+    satisfies ``pred(group, subset)`` if given, with its size; (0, ()) for
+    the trivial group and None if no subset does.
+
+    Depth-first over the k-subsets with H the pointwise stabilizer of the
+    prefix S; S + {x} is a base iff |x^H| = |H|.  Only the least point x of
+    each H-orbit is tried: an h in H with h(x) < x maps every extension of
+    S + {x} to a lexicographically smaller set, and witnesses are closed
+    under the group.  Every node visited counts against the budget.
+    """
     if group.is_trivial():
         return 0, ()
-    examined = 0
+    visited = 0
+
+    def bases(h: PermGroup, prefix: tuple[int, ...], k: int):
+        nonlocal visited
+        for orbit in h.orbits():  # ascending by least point
+            x = min(orbit)
+            if prefix and x <= prefix[-1] or x > group.degree - k + len(prefix):
+                continue
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError(visited, budget, k)
+            if len(prefix) + 1 < k:
+                yield from bases(h.point_stabilizer({x}), prefix + (x,), k)
+            elif len(orbit) == h.order():
+                yield prefix + (x,)
+
     for k in range(1, group.degree + 1):
-        for subset in combinations(range(group.degree), k):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(examined, budget)
-            if pred(group, subset):
+        for subset in bases(group, (), k):
+            if pred is None or pred(group, subset):
                 return k, subset
     return None
 
@@ -133,7 +151,7 @@ def determining_number(
     faithful action, so the search terminates with a witness.  Returns
     (0, ()) for the trivial group.
     """
-    return _least_subset(group, is_base, budget)
+    return _least_subset(group, None, budget)
 
 
 def distinguishing_cost(
@@ -142,7 +160,7 @@ def distinguishing_cost(
     """Minimum distinguishing-set size with witness, or None if none exists.
 
     Nonexistence (every subset has a nontrivial setwise stabilizer, as in
-    complete graphs) is reported only after exhausting all subsets.
+    complete graphs) is reported only after the search covers every size.
     """
     return _least_subset(group, is_distinguishing, budget)
 

@@ -27,6 +27,19 @@ def brute_automorphisms(g):
     return out
 
 
+def networkx_automorphisms(g):
+    """Every automorphism as an image tuple, listed by networkx's VF2
+    matcher; for graphs past the reach of the Sym(n) filter above."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return [tuple(m[i] for i in range(g.n))
+            for m in GraphMatcher(nxg, nxg).isomorphisms_iter()]
+
+
 def brute_point_stabilizer(elems, points):
     pts = list(points)
     return [p for p in elems if all(p[x] == x for x in pts)]

@@ -92,7 +92,13 @@ class TestInvariantCommands:
         monkeypatch.setenv("HALINKIT_BUDGET", "2")
         code, _, err = run_cli(capsys, "cost", "--family", "cycle", "--n", "6")
         assert code == 4
-        assert "budget" in err.lower()
+        assert "budget exhausted at size 2" in err
+
+    def test_negative_budget_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALINKIT_BUDGET", "-5")
+        code, _, err = run_cli(capsys, "base", "--family", "cycle", "--n", "6")
+        assert code == 2
+        assert "HALINKIT_BUDGET" in err
 
 
 class TestLimitSim:
@@ -150,6 +156,13 @@ class TestTopology:
             capsys, "topology", "--family", "cycle", "--n", "4",
             "--exhaustion", "0,1|0,2")
         assert code == 2
+
+    def test_negative_triples_exit2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "topology", "--family", "cycle", "--n", "8",
+            "--exhaustion", "0,1|0,1,2", "--triples", "-3")
+        assert code == 2 and out == ""
+        assert "--triples" in err
 
 
 class TestInputChannels:

@@ -15,11 +15,29 @@ from halinkit.groups import PermGroup
 from conftest import dihedral
 from oracles import (brute_automorphisms, brute_determining_number,
                      brute_distinguishing_cost, brute_motion,
-                     longest_subgroup_chain)
+                     longest_subgroup_chain, networkx_automorphisms)
 
 
 def aut(g):
     return automorphism_group(g)
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
+                     if not v >> b & 1])
+
+
+# Past the Sym(n) filter's reach: (graph, determining number, distinguishing
+# cost), checked against the oracles on networkx's element lists.
+LARGER = [
+    (petersen(), (3, (0, 1, 3)), None),
+    (hypercube(3), (3, (0, 1, 2)), None),
+    (hypercube(4), (3, (0, 3, 5)), (5, (0, 1, 2, 5, 11))),
+    (cycle(11), (2, (0, 1)), (3, (0, 1, 3))),
+    (complete_bipartite(3, 4), (5, (0, 1, 3, 4, 5)), None),
+    (complete_bipartite(4, 4), (6, (0, 1, 2, 4, 5, 6)), None),
+]
 
 
 class TestBounds:
@@ -67,7 +85,7 @@ class TestDeterminingNumber:
         assert determining_number(aut(g)) == (0, ())
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="at size 2"):
             determining_number(aut(complete(4)), budget=2)
 
     def test_matches_oracle(self):
@@ -75,6 +93,13 @@ class TestDeterminingNumber:
             elems = brute_automorphisms(g)
             assert determining_number(aut(g)) == \
                 brute_determining_number(elems, g.n)
+        for g, det, _ in LARGER:
+            elems = networkx_automorphisms(g)
+            assert determining_number(aut(g)) == det == \
+                brute_determining_number(elems, g.n)
+
+    def test_hypercube5(self):
+        assert determining_number(aut(hypercube(5))) == (4, (0, 1, 6, 10))
 
 
 class TestIsDistinguishing:
@@ -117,6 +142,10 @@ class TestDistinguishingCost:
         for g in [path(6), cycle(7), complete(5)]:
             elems = brute_automorphisms(g)
             assert distinguishing_cost(aut(g)) == \
+                brute_distinguishing_cost(elems, g.n)
+        for g, _, cost in LARGER:
+            elems = networkx_automorphisms(g)
+            assert distinguishing_cost(aut(g)) == cost == \
                 brute_distinguishing_cost(elems, g.n)
 
 
