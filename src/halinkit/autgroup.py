@@ -1,15 +1,19 @@
 """Automorphism groups of finite graphs via individualization-refinement.
 
-The search tree refines an equitable coloring, individualizes one vertex of
-the first largest non-singleton cell at each node, and compares every later
-discrete leaf against the first leaf.  No canonical form is computed; the
-pruning is limited to first-path shape matching plus orbit pruning at the
-root, which keeps the procedure deterministic and easy to audit.
+The search individualizes a vertex of the first largest cell at each node,
+refines with a splitter queue, and compares each leaf with the first leaf.
+Two exact rules prune it (McKay 1981): a node whose refinement trace
+leaves the first path's is dropped, and a subtree off the first path is
+left once it yields an automorphism.  First-path nodes explore or
+orbit-prune their whole cell, so the generators found are strong for the
+first path as base, and the chain is read off them, not Schreier-Sims.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 from .graphs import Graph
 from .groups import PermGroup
@@ -17,31 +21,68 @@ from .perms import Permutation
 
 
 class ColoredPartition:
-    """An ordered partition of {0..n-1} into disjoint cells."""
+    """An ordered partition of {0..n-1} into disjoint cells.
 
-    __slots__ = ("cells",)
+    ``lab`` lists the vertices cell by cell, ``pos`` inverts it, ``cell[v]``
+    is the start of v's cell and ``end[s]`` the end of the cell at s.
+    ``pending`` are the cells to refine against; ``trace`` lists the splits
+    that made the partition, and refine stops where they leave ``expected``.
+    """
+
+    __slots__ = ("lab", "pos", "cell", "end", "ncells", "pending",
+                 "expected", "trace")
 
     def __init__(self, cells: Iterable[Sequence[int]]):
-        canon = tuple(tuple(sorted(c)) for c in cells)
-        flat = [v for c in canon for v in c]
-        if sorted(flat) != list(range(len(flat))):
+        canon = [sorted(c) for c in cells if c]
+        self.lab = [v for c in canon for v in c]
+        n = len(self.lab)
+        if sorted(self.lab) != list(range(n)):
             raise ValueError("cells must partition 0..n-1")
-        self.cells = canon
+        self.pos, self.cell, self.end = [0] * n, [0] * n, [0] * n
+        self.ncells, self.expected, self.trace = len(canon), None, []
+        self.pending = list(accumulate(map(len, canon), initial=0))[:-1]
+        for s, c in zip(self.pending, canon):
+            self.end[s] = s + len(c)
+            for i, v in enumerate(c, s):
+                self.pos[v], self.cell[v] = i, s
 
     @classmethod
     def unit(cls, n: int) -> "ColoredPartition":
-        return cls([tuple(range(n))] if n else [])
+        return cls([tuple(range(n))])
+
+    def _copy(self) -> "ColoredPartition":
+        p = object.__new__(ColoredPartition)
+        p.lab, p.pos, p.cell, p.end = (self.lab[:], self.pos[:],
+                                       self.cell[:], self.end[:])
+        p.ncells, p.pending = self.ncells, self.pending
+        p.expected, p.trace = self.expected, []
+        return p
+
+    def _individualize(self, v: int, expected: list | None
+                       ) -> "ColoredPartition":
+        """A copy with v split off the front of its cell; the partition is
+        equitable, so the singleton is the only pending splitter."""
+        p = self._copy()
+        s, i, u = p.cell[v], p.pos[v], p.lab[p.cell[v]]
+        p.lab[s], p.lab[i], p.pos[v], p.pos[u] = v, u, s, i
+        for w in p.lab[s + 1:p.end[s]]:
+            p.cell[w] = s + 1
+        p.end[s + 1], p.end[s] = p.end[s], s + 1
+        p.ncells, p.pending, p.expected = p.ncells + 1, [s], expected
+        return p
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(self.lab[s:self.end[s]]))
+                     for s in sorted(set(self.cell)))
 
     @property
     def n(self) -> int:
-        return sum(len(c) for c in self.cells)
+        return len(self.lab)
 
     @property
     def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
-
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
+        return self.ncells == len(self.lab)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ColoredPartition) and self.cells == other.cells
@@ -53,55 +94,60 @@ class ColoredPartition:
         return f"ColoredPartition({[list(c) for c in self.cells]})"
 
 
-def refine(g: Graph, partition: ColoredPartition) -> ColoredPartition:
-    """Coarsest equitable refinement of the partition.
+def refine(g: Graph, partition: ColoredPartition) -> ColoredPartition | None:
+    """Coarsest equitable refinement of the partition, as a new partition.
 
-    Repeatedly splits cells by the vertices' neighbor counts against every
-    current cell until each cell is uniform.  Subcells are ordered by their
-    count signature, so the result is deterministic and idempotent.
+    Counts each queued splitter's neighbours and splits every touched cell
+    by count, ascending; its subcells are queued, but for the first largest
+    if the cell was not.  Positions and counts decide everything, so the
+    result is label-invariant.  None if the trace leaves ``expected``.
     """
     if partition.n != g.n:
         raise ValueError("partition does not match the graph")
-    cells = list(partition.cells)
-    while True:
-        counts_per_cell = []
-        for cell in cells:
-            counts = [0] * g.n
-            for u in cell:
-                for w in g.neighbors(u):
-                    counts[w] += 1
-            counts_per_cell.append(counts)
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
+    p = partition._copy()
+    lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
+    expected, queue, p.pending = p.expected, deque(p.pending), []
+    while queue and p.ncells < len(lab):
+        s = queue.popleft()
+        counts: dict[int, int] = {}
+        for u in lab[s:end[s]]:
+            for w in g.neighbors(u):
+                counts[w] = counts.get(w, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for w in counts:
+            touched.setdefault(cell[w], []).append(w)
+        for c in sorted(touched):
+            e = end[c]
+            members = sorted(touched[c], key=counts.__getitem__)
+            keys = [counts[w] for w in members]
+            if len(members) == e - c and keys[0] == keys[-1]:
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple(counts[v] for counts in counts_per_cell)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-        cells = new_cells
-        if not changed:
-            return ColoredPartition(cells)
-
-
-def _individualize(partition: ColoredPartition, cell_index: int,
-                   v: int) -> ColoredPartition:
-    cells = []
-    for i, cell in enumerate(partition.cells):
-        if i == cell_index:
-            cells.append((v,))
-            cells.append(tuple(u for u in cell if u != v))
-        else:
-            cells.append(cell)
-    return ColoredPartition(cells)
+            # touched vertices go to the tail, the untouched form subcell 0
+            tail = e - len(members)
+            stay = [w for w in lab[tail:e] if w not in counts]
+            for w, x in zip([w for w in members if pos[w] < tail], stay):
+                lab[pos[w]], pos[x] = x, pos[w]
+            lab[tail:e] = members
+            for i, w in enumerate(members, tail):
+                pos[w] = i
+            starts = [c] * (tail > c) + [
+                i for i in range(tail, e)
+                if i == tail or keys[i - tail] != keys[i - tail - 1]]
+            event = (s, c, tuple(keys))
+            k = len(trace)
+            if expected is not None and expected[k:k + 1] != [event]:
+                return None
+            trace.append(event)
+            bounds = starts[1:] + [e]
+            for a, b in zip(starts, bounds):
+                end[a] = b
+                for w in lab[a:b] if a != c else ():
+                    cell[w] = a
+            p.ncells += len(starts) - 1
+            big = max(zip(starts, bounds), key=lambda ab: ab[1] - ab[0])[0]
+            skip = c if c in queue else big
+            queue.extend(a for a in starts if a != skip)
+    return p if expected is None or len(trace) == len(expected) else None
 
 
 def automorphism_group(g: Graph) -> PermGroup:
@@ -111,50 +157,52 @@ def automorphism_group(g: Graph) -> PermGroup:
     nonadjacency-preserving permutations of the vertex set.
     """
     n = g.n
-    if n == 0:
-        return PermGroup(0)
-    root = refine(g, ColoredPartition.unit(n))
     gens: list[Permutation] = []
-    found: set[tuple[int, ...]] = set()
+    first_path: list[int] = []
+    first_traces: list[list] = []
+    targets: list[int] = []
     first_leaf: list[int] | None = None
-    first_shapes: dict[int, tuple[int, ...]] = {}
 
-    def search(partition: ColoredPartition, path: tuple[int, ...]) -> None:
+    def search(part: ColoredPartition, path: tuple[int, ...],
+               on_first: bool) -> bool:
+        # True iff off the first path and a leaf below gave an automorphism,
+        # whose image of the first path's subtree is the rest of this one
         nonlocal first_leaf
-        shape = partition.shape()
-        if first_leaf is None:
-            first_shapes[len(path)] = shape
-        elif first_shapes.get(len(path)) != shape:
-            return
-        if partition.is_discrete:
-            leaf = [c[0] for c in partition.cells]
+        if part.is_discrete:
             if first_leaf is None:
-                first_leaf = leaf
-                return
-            images = [0] * n
-            for pos in range(n):
-                images[first_leaf[pos]] = leaf[pos]
-            key = tuple(images)
-            if key not in found and g.is_automorphism(images):
-                p = Permutation(images)
-                if not p.is_identity():
-                    found.add(key)
-                    gens.append(p)
-            return
-        size = max(len(c) for c in partition.cells)
-        ti = next(i for i, c in enumerate(partition.cells) if len(c) == size)
+                first_leaf = part.lab
+                return False
+            images = [b for _, b in sorted(zip(first_leaf, part.lab))]
+            # each leaf is visited once, so no automorphism is found twice
+            if not g.is_automorphism(images):
+                return False
+            gens.append(Permutation(images))
+            return True
+        depth = len(path)
+        if depth == len(targets):  # all nodes at a depth share the shape
+            targets.append(max(sorted(set(part.cell)),
+                               key=lambda s: part.end[s] - s))
+        ti = targets[depth]
+        # Orbit pruning: a sibling in the orbit of an explored one under
+        # the known automorphisms fixing the path adds no generators.
         tried: list[int] = []
-        for v in partition.cells[ti]:
-            # Orbit pruning: siblings reachable from an explored one by a
-            # known automorphism fixing the individualized path contribute
-            # no new generators.
-            if tried:
-                fixing = PermGroup(n, [p for p in gens
-                                       if all(p(x) == x for x in path)])
-                if not fixing.orbit(v).isdisjoint(tried):
-                    continue
-            search(refine(g, _individualize(partition, ti, v)), path + (v,))
+        for v in sorted(part.lab[ti:part.end[ti]]):
+            if tried and not PermGroup(n, [
+                    p for p in gens if all(p.images[x] == x for x in path)
+                    ]).orbit(v).isdisjoint(tried):
+                continue
             tried.append(v)
+            extends = first_leaf is None
+            child = refine(g, part._individualize(
+                v, None if extends else first_traces[depth]))
+            if child is None:
+                continue
+            if extends:
+                first_path.append(v)
+                first_traces.append(child.trace)
+            if search(child, path + (v,), extends) and not on_first:
+                return True
+        return False
 
-    search(root, ())
-    return PermGroup(n, gens)
+    search(refine(g, ColoredPartition.unit(n)), (), True)
+    return PermGroup.from_strong_generators(n, gens, first_path)

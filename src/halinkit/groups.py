@@ -1,9 +1,9 @@
 """Permutation groups backed by a deterministic base and strong generating set.
 
 Everything downstream (orders, membership, point and setwise stabilizers,
-exhaustive element listings) runs through the BSGS.  The construction is the
-classic deterministic Schreier-Sims procedure: no randomization, ascending
-point order everywhere, so repeated runs build identical chains.
+exhaustive element listings) runs through the BSGS.  Generators known to be
+strong for a base give the chain directly; any others go through the classic
+deterministic Schreier-Sims procedure, so repeated runs build identical chains.
 """
 
 from __future__ import annotations
@@ -42,30 +42,48 @@ class _Chain:
         self.transversals = transversals
         self.strong_gens = strong_gens
 
+    @classmethod
+    def read(cls, degree: int, base: Sequence[int],
+             strong_gens: Sequence[Permutation]) -> "_Chain":
+        """The chain of strong generators for the base: level i gets those
+        fixing base[:i] and their orbit transversal of base[i]."""
+        gens, transversals, level = [], [], list(strong_gens)
+        for b in base:
+            gens.append(level)
+            transversals.append(_orbit_transversal(degree, b, level))
+            level = [g for g in level if g(b) == b]
+        return cls(degree, list(base), gens, transversals, list(strong_gens))
+
+    def verified(self) -> "_Chain":
+        """The chain; AssertionError unless every generator sifts through."""
+        if not all(self.sift(g)[1].is_identity() for g in self.strong_gens):
+            raise AssertionError("a strong generator does not sift through")
+        return self
+
     def order(self) -> int:
         result = 1
         for t in self.transversals:
             result *= len(t)
         return result
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Strip p through the chain; the residue is the identity iff p is a member."""
-        for point, t in zip(self.base, self.transversals):
-            a = p(point)
+    def sift(self, p: Permutation, start: int = 0
+             ) -> tuple[int, Permutation]:
+        """Strip p through the levels from ``start`` on: the level it drops
+        out at (or len(base)) and the residue, the identity iff p is in."""
+        for j in range(start, len(self.base)):
+            a, t = p(self.base[j]), self.transversals[j]
             if a not in t:
-                return p
-            p = t[a].inverse() * p
-        return p
+                return j, p
+            if a != self.base[j]:
+                p = t[a].inverse() * p
+        return len(self.base), p
 
 
 def _orbit_transversal(degree: int, point: int,
                        gens: Sequence[Permutation]) -> dict[int, Permutation]:
     t = {point: Permutation.identity(degree)}
     queue = [point]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
+    for a in queue:  # the queue grows while it is read
         ua = t[a]
         for g in gens:
             b = g(a)
@@ -101,43 +119,19 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation],
         if all(g(b) == b for b in base):
             base.append(min(g.support()))
 
-    def level_gens(i: int) -> list[Permutation]:
-        return [g for g in sgs if all(g(b) == b for b in base[:i])]
-
-    gens: list[list[Permutation]] = []
-    transversals: list[dict[int, Permutation]] = []
-
-    def rebuild(i: int) -> None:
-        lg = level_gens(i)
-        while len(gens) <= i:
-            gens.append([])
-            transversals.append({})
-        gens[i] = lg
-        transversals[i] = _orbit_transversal(degree, base[i], lg)
-
-    for i in range(len(base)):
-        rebuild(i)
-
-    def strip(start: int, p: Permutation) -> tuple[int, Permutation]:
-        for j in range(start, len(base)):
-            a = p(base[j])
-            if a not in transversals[j]:
-                return j, p
-            p = transversals[j][a].inverse() * p
-        return len(base), p
-
+    chain = _Chain.read(degree, base, sgs)
     i = len(base) - 1
     while i >= 0:
         stuck: tuple[int, Permutation] | None = None
-        t_i = transversals[i]
+        t_i = chain.transversals[i]
         for a in sorted(t_i):
             ua = t_i[a]
-            for g in gens[i]:
+            for g in chain.gens[i]:
                 ub = t_i[g(a)]
                 schreier = ub.inverse() * (g * ua)
                 if schreier.is_identity():
                     continue
-                j, residue = strip(i + 1, schreier)
+                j, residue = chain.sift(schreier, i + 1)
                 if not residue.is_identity():
                     stuck = (j, residue)
                     break
@@ -150,15 +144,9 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation],
         sgs.append(residue)
         if j == len(base):
             base.append(min(residue.support()))
-        for k in range(j + 1):
-            rebuild(k)
+        chain = _Chain.read(degree, base, sgs)
         i = j
-
-    chain = _Chain(degree, base, gens, transversals, sgs)
-    for g in sgs:
-        if not chain.sift(g).is_identity():
-            raise AssertionError("Schreier-Sims produced an incomplete chain")
-    return chain
+    return chain.verified()
 
 
 class PermGroup:
@@ -174,6 +162,16 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._chain: _Chain | None = None
+
+    @classmethod
+    def from_strong_generators(cls, degree: int,
+                               generators: Iterable[Permutation],
+                               base: Sequence[int]) -> "PermGroup":
+        """The group generated by a strong generating set for the base,
+        with its chain read off them instead of built by Schreier-Sims."""
+        group = cls(degree, generators)
+        group._chain = _Chain.read(degree, base, group.generators).verified()
+        return group
 
     def chain(self) -> _Chain:
         if self._chain is None:
@@ -194,7 +192,7 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.chain().sift(p).is_identity()
+        return self.chain().sift(p)[1].is_identity()
 
     def orbit(self, x: int) -> frozenset[int]:
         """The orbit of a point under the group, by closure over generators."""
@@ -202,12 +200,9 @@ class PermGroup:
             raise ValueError(f"point {x} out of range")
         seen = {x}
         queue = [x]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
+        for a in queue:  # the queue grows while it is read
             for g in self.generators:
-                b = g(a)
+                b = g.images[a]
                 if b not in seen:
                     seen.add(b)
                     queue.append(b)

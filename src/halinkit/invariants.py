@@ -247,8 +247,10 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     Tries the candidate filter from the subgroup-reduction argument first:
     with X = union of a(Y) over the elements a with a(Y) meeting Y, prefer
     vertices outside X that are moved by the stabilizer of Y.  Falls back
-    to scanning every vertex.  Returns None ("stalled") when no vertex
-    produces a proper subgroup, which finite graphs can legitimately hit.
+    to the other vertices that stabilizer moves: if it fixes v, it also
+    preserves Y + {v}, so v cannot cut the order.  Returns None
+    ("stalled") when no vertex produces a proper subgroup, which finite
+    graphs can legitimately hit.
     """
     yset = frozenset(y)
     if len(yset) < 2:
@@ -258,9 +260,7 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     if order_y == 1:
         raise ValueError("setwise stabilizer of Y is already trivial")
 
-    moved_by_stab: set[int] = set()
-    for gen in stab_y.generators:
-        moved_by_stab.update(gen.support())
+    moved_by_stab = {v for gen in stab_y.generators for v in gen.support()}
     # v is in X iff some a maps a pair of Y x Y to (y, v) with y in Y, so X
     # is read off the closure of Y x Y under the generators.
     pairs = {(u, v) for u in yset for v in yset}
@@ -272,11 +272,8 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
             if image not in pairs:
                 pairs.add(image)
                 queue.append(image)
-    filtered = sorted(moved_by_stab - {v for u, v in pairs if u in yset})
-
-    rest = sorted(v for v in range(group.degree)
-                  if v not in yset and v not in filtered)
-    for v in filtered + rest:
+    x = {v for u, v in pairs if u in yset}  # contains Y
+    for v in sorted(moved_by_stab - yset, key=lambda v: (v in x, v)):
         stab_v = group.set_stabilizer(yset | {v})
         if stab_v.order() >= order_y:
             continue

@@ -136,3 +136,21 @@ def longest_subgroup_chain(n):
         longest[h] = max((longest[k] + 1 for k in ordered
                           if len(k) < len(h) and k < h), default=0)
     return longest[frozenset(range(len(elems)))]
+
+
+def coarsest_equitable(g, cells):
+    """The coarsest equitable refinement of the cells, as a set of
+    frozensets: split every cell by the vertices' neighbour counts against
+    every cell until nothing splits."""
+    cells = [frozenset(c) for c in cells if c]
+    while True:
+        split = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                sig = tuple(len(g.neighbors(v) & other) for other in cells)
+                groups.setdefault(sig, set()).add(v)
+            split += [frozenset(s) for s in groups.values()]
+        if len(split) == len(cells):
+            return set(cells)
+        cells = split

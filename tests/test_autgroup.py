@@ -1,11 +1,67 @@
+import random
+
 import pytest
 
 from halinkit.autgroup import ColoredPartition, automorphism_group, refine
 from halinkit.graphs import (Graph, binary_tree, comb, complete,
                              complete_bipartite, cycle, path, petersen)
+from halinkit.groups import _schreier_sims
 from halinkit.perms import Permutation
 
-from oracles import brute_automorphisms
+from oracles import (brute_automorphisms, coarsest_equitable,
+                     networkx_automorphisms)
+
+
+def random_regular(n, d, rng):
+    """A random simple d-regular graph on n vertices (pairing model)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * d // 2 and all(a != b for a, b in edges):
+            return Graph(n, edges)
+
+
+def planted(n, transpositions, rng):
+    """A random graph invariant under an involution sigma of the given
+    number of transpositions: each pair orbit {e, sigma(e)} is all edges or
+    none."""
+    moved = rng.sample(range(n), 2 * transpositions)
+    sigma = list(range(n))
+    for a, b in zip(moved[::2], moved[1::2]):
+        sigma[a], sigma[b] = b, a
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = tuple(sorted((sigma[i], sigma[j])))
+            if (i, j) <= image and rng.random() < 0.5:
+                edges |= {(i, j), image}
+    return Graph(n, edges)
+
+
+def disjoint_union(g, copies):
+    return Graph(g.n * copies, [(i + k * g.n, j + k * g.n)
+                                for k in range(copies) for i, j in g.edges])
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
+                     if not v >> b & 1])
+
+
+def differential_graphs():
+    """Seeded graphs past the Sym(n) filter's reach: random 2-, 3- and
+    4-regular graphs, planted involutions, unions of two cycles, Q4,
+    Petersen, K_{4,5} and C40."""
+    rng = random.Random(20261018)
+    out = [random_regular(n, d, rng) for n, d in
+           ((9, 2), (12, 2), (16, 2), (21, 2), (10, 3), (12, 3), (16, 3),
+            (30, 3), (9, 4), (12, 4), (21, 4), (30, 4))]
+    out += [planted(n, t, rng) for n, t in ((10, 2), (14, 3), (18, 4))]
+    out += [disjoint_union(cycle(n), 2) for n in (5, 7)]
+    return out + [hypercube(4), petersen(), complete_bipartite(4, 5),
+                  cycle(40)]
 
 
 class TestRefine:
@@ -41,6 +97,17 @@ class TestRefine:
         out = refine(g, start)
         for cell in out.cells:
             assert set(cell) <= {0, 1, 2} or set(cell) <= {3, 4, 5}
+
+    def test_matches_naive_refinement(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randrange(3, 14)
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < 0.35])
+            labels = [rng.randrange(3) for _ in range(n)]
+            cells = [[v for v in range(n) if labels[v] == k] for k in range(3)]
+            got = refine(g, ColoredPartition(cells))
+            assert set(map(frozenset, got.cells)) == coarsest_equitable(g, cells)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -98,3 +165,25 @@ class TestAutomorphismGroup:
         g = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
         assert len(brute_automorphisms(g)) == 1
         assert automorphism_group(g).order() == 1
+
+    def test_orders_match_networkx_and_schreier_sims(self):
+        for g in differential_graphs():
+            group = automorphism_group(g)
+            assert group.order() == len(networkx_automorphisms(g))
+            assert group.order() == _schreier_sims(g.n, group.generators).order()
+
+    def test_random_relabel_conjugates_group(self):
+        rng = random.Random(11)
+        for g in differential_graphs()[::3] + [binary_tree(3).graph]:
+            images = list(range(g.n))
+            rng.shuffle(images)
+            pi = Permutation(images)
+            group = automorphism_group(g)
+            relabeled = automorphism_group(g.relabel(images))
+            assert relabeled.order() == group.order()
+            for p in group.generators:
+                assert relabeled.contains(pi * p * pi.inverse())
+
+    def test_large_families(self):
+        assert automorphism_group(cycle(400)).order() == 800
+        assert automorphism_group(binary_tree(6).graph).order() == 2 ** 63

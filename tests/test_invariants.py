@@ -270,13 +270,13 @@ class TestNoEnumeration:
     # (graph, determining number, distinguishing cost, motion witness,
     #  greedy chain from the least base: added, orders, stalled)
     PINNED = [
-        (cycle(8), (2, (0, 1)), (3, (0, 1, 3)), (2, 1, 0, 7, 6, 5, 4, 3),
+        (cycle(8), (2, (0, 1)), (3, (0, 1, 3)), (0, 7, 6, 5, 4, 3, 2, 1),
          ((3,), (2, 1), False)),
-        (complete(5), (4, (0, 1, 2, 3)), None, (3, 1, 2, 0, 4),
+        (complete(5), (4, (0, 1, 2, 3)), None, (0, 1, 2, 4, 3),
          ((), (24,), True)),
         (complete_bipartite(3, 3), (4, (0, 1, 3, 4)), None,
-         (0, 1, 2, 4, 3, 5), ((), (8,), True)),
-        (petersen(), (3, (0, 1, 3)), None, (3, 8, 5, 0, 4, 2, 6, 7, 1, 9),
+         (0, 1, 2, 3, 5, 4), ((), (8,), True)),
+        (petersen(), (3, (0, 1, 3)), None, (0, 1, 2, 7, 5, 4, 6, 3, 9, 8),
          ((), (2,), True)),
     ]
 
