@@ -185,13 +185,21 @@ def automorphism_group(g: Graph) -> PermGroup:
         ti = targets[depth]
         # Orbit pruning: a sibling in the orbit of an explored one under
         # the known automorphisms fixing the path adds no generators.
-        tried: list[int] = []
+        # ``reached`` is that orbit, extended as generators arrive.
+        fixing, reached, known, last = [], set(), 0, []
         for v in sorted(part.lab[ti:part.end[ti]]):
-            if tried and not PermGroup(n, [
-                    p for p in gens if all(p.images[x] == x for x in path)
-                    ]).orbit(v).isdisjoint(tried):
-                continue
-            tried.append(v)
+            if last:  # the first sibling is always explored
+                fresh = [p for p in gens[known:]
+                         if all(p.images[x] == x for x in path)]
+                known, fixing = len(gens), fixing + fresh
+                queue = last + [p.images[w] for p in fresh for w in reached]
+                for w in queue:  # the queue grows while it is read
+                    if w not in reached:
+                        reached.add(w)
+                        queue.extend(p.images[w] for p in fixing)
+                if v in reached:
+                    continue
+            last = [v]
             extends = first_leaf is None
             child = refine(g, part._individualize(
                 v, None if extends else first_traces[depth]))

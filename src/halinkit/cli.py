@@ -25,8 +25,8 @@ from .groups import PermGroup
 from .invariants import (BudgetExceededError, DEFAULT_SUBSET_BUDGET, bounds,
                          determining_number, distinguishing_cost,
                          greedy_distinguishing_chain, is_base, motion)
-from .limitsim import EpsilonWord, alpha_inverse_perm, alpha_perm, \
-    run_construction, verify_distinctness
+from .limitsim import EpsilonWord, alpha_perm, run_construction, \
+    verify_distinctness
 from .perms import Permutation
 from .topology import Exhaustion, check_cauchy, check_ultrametric, confluent, \
     dist, dist_star
@@ -41,6 +41,10 @@ BUDGET_ENV = "HALINKIT_BUDGET"
 
 class InputError(Exception):
     pass
+
+
+class ResourceLimitError(Exception):
+    """Work that would exceed the budget, refused before it starts."""
 
 
 def _budget() -> int:
@@ -242,18 +246,20 @@ def _cmd_limit_sim(args) -> tuple[dict, int]:
     if state.exhausted:
         code = EXIT_EXHAUSTED
     else:
-        witnesses = verify_distinctness(state, args.k)
         pairs = 2 ** args.k * (2 ** args.k - 1) // 2
+        budget = _budget()
+        if pairs > budget:
+            raise ResourceLimitError(
+                f"pair certificate needs {pairs} pairs, budget {budget}")
+        witnesses = verify_distinctness(state, args.k)
         witnessed = sum(1 for w in witnesses if w.image_a != w.image_b)
         exhaustion = state.exhaustion()
         word = EpsilonWord(tuple([1] * args.k))
         seq = [alpha_perm(state, word.bits[:k + 1]) for k in range(args.k)]
         cauchy = [str(x) for x in check_cauchy(exhaustion, seq)]
-        inverse_ok = all(
-            (alpha_perm(state, EpsilonWord.from_int(m, args.k))
-             * alpha_inverse_perm(state, EpsilonWord.from_int(m, args.k))
-             ).is_identity()
-            for m in range(2 ** args.k))
+        # alpha(w) * alpha^{-1}(w) telescopes to the phi_k * phi_k^{-1}
+        inverse_ok = all((phi * phi.inverse()).is_identity()
+                         for phi in state.phis)
         results.update({
             "distinctness": {"pairs": pairs, "witnessed": witnessed},
             "cauchy_table": cauchy,
@@ -400,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except (Graph6Error,) as exc:
         print(f"halinkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ResourceLimitError) as exc:
         print(f"halinkit: resource limit: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except ValueError as exc:

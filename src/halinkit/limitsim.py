@@ -9,10 +9,12 @@ but moving x_k, and F_{k+1} the minimal closure
 
 where alpha_k^eps = phi_0^{eps_0} o ... o phi_k^{eps_k} ranges over all sign
 words eps of length k+1 (rightmost factor applied first) and v_{k+1} is the
-enumeration vertex k+1.  The 2^K words of length K then evaluate to 2^K
-pairwise distinct vertex maps, which the verification helpers certify
-mechanically.  Minimal closures keep F_k small, maximizing the rounds a
-fixed truncation depth can host.
+enumeration vertex k+1.  The union over all words is built without listing
+them: S <- S + phi_i(S) for i = k..0 gives the images, and
+T <- T + phi_i^{-1}(T) for i = 0..k the preimages.  The 2^K words of
+length K then evaluate to 2^K pairwise distinct vertex maps, which the
+verification helpers certify mechanically.  Minimal closures keep F_k
+small, maximizing the rounds a fixed truncation depth can host.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 
 from .graphs import TruncatedFamily
 from .perms import Permutation
@@ -199,10 +200,11 @@ def fixing_oracle(family: TruncatedFamily,
 def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
     """Run the inductive construction for the requested number of rounds.
 
-    Closures are chosen minimal (exactly the mandated union).  If the
-    truncation cannot host another round (no swap site, the closure touches
-    the boundary, or the enumeration outgrows the graph) a partial state is
-    returned; callers detect this via ``state.exhausted``.
+    Closures are chosen minimal (exactly the mandated union), computed as
+    two iterated unions of O(k) image steps, not one evaluation per sign
+    word.  If the truncation cannot host another round (no swap site, the
+    closure touches the boundary, or the enumeration outgrows the graph) a
+    partial state is returned; callers detect this via ``state.exhausted``.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -225,12 +227,12 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
         phis.append(phi)
         inverses.append(phi.inverse())
         xs.append(x_k)
-        closure: set[int] = {x_k, v_next}
-        for bits in iter_product((0, 1), repeat=k + 1):
-            for f in current:
-                closure.add(_forward(phis, bits, k, f))
-                closure.add(_backward(inverses, bits, k, f))
-        fsets.append(frozenset(closure))
+        images, preimages = set(current), set(current)
+        for i in range(k, -1, -1):
+            images |= {phis[i](v) for v in images}
+        for i in range(k + 1):
+            preimages |= {inverses[i](v) for v in preimages}
+        fsets.append(frozenset(images | preimages | {x_k, v_next}))
     return ConstructionState(family, tuple(fsets), tuple(phis), tuple(xs),
                              rounds)
 
@@ -243,22 +245,13 @@ def _forward(phis: Sequence[Permutation], bits: Sequence[int],
     return v
 
 
-def _backward(inverses: Sequence[Permutation], bits: Sequence[int],
-              upto: int, v: int) -> int:
-    for i in range(upto + 1):
-        if bits[i]:
-            v = inverses[i](v)
-    return v
-
-
 def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
           v: int) -> int:
     """The stable image of vertex v under the sign word's automorphism.
 
-    Requires enough rounds for the word, and the word long enough that the
-    value can no longer change: either len(word) > v (the enumeration
-    absorbs v_k into F_k) or v already lies in the closure F_{len(word)},
-    whose members are fixed by every later round's automorphism.
+    Requires enough rounds for the word, and v in the closure F_{len(word)}
+    (which holds 0..len(word)), whose members are fixed by every later
+    round's automorphism, so the value can no longer change.
     """
     bits = word.bits if isinstance(word, EpsilonWord) else tuple(word)
     k = len(bits) - 1
@@ -266,7 +259,7 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
         raise ValueError(
             f"word of length {k + 1} needs {k + 1} rounds, "
             f"construction completed {state.rounds_completed}")
-    if not (len(bits) > v or v in state.fsets[k + 1]):
+    if v not in state.fsets[k + 1]:
         raise ValueError(
             f"image of vertex {v} is not yet stable for a word of length {len(bits)}")
     return _forward(state.phis, bits, k, v)
@@ -280,22 +273,14 @@ def alpha_perm(state: ConstructionState,
     if k >= state.rounds_completed:
         raise ValueError("not enough rounds for the word")
     factors = [state.phis[i] for i in range(k + 1) if bits[i]]
-    if not factors:
-        return Permutation.identity(state.family.graph.n)
-    return reduce(lambda a, b: a * b, factors)
+    return reduce(Permutation.__mul__, factors,
+                  Permutation.identity(state.family.graph.n))
 
 
 def alpha_inverse_perm(state: ConstructionState,
                        word: EpsilonWord | Sequence[int]) -> Permutation:
-    """Materialize alpha_k^{-eps} (the reversed product of inverses)."""
-    bits = word.bits if isinstance(word, EpsilonWord) else tuple(word)
-    k = len(bits) - 1
-    if k >= state.rounds_completed:
-        raise ValueError("not enough rounds for the word")
-    factors = [state.phis[i].inverse() for i in range(k, -1, -1) if bits[i]]
-    if not factors:
-        return Permutation.identity(state.family.graph.n)
-    return reduce(lambda a, b: a * b, factors)
+    """Materialize alpha_k^{-eps}, the inverse of ``alpha_perm``'s product."""
+    return alpha_perm(state, word).inverse()
 
 
 @dataclass(frozen=True)
@@ -322,28 +307,27 @@ def verify_distinctness(state: ConstructionState,
     For words first differing at bit k the witness lives in F_{k+1} and is
     moved by phi_k; its images under the two words must differ.  The caller
     should check that every one of the C(2^K, 2) pairs got a witness with
-    distinct images.
+    distinct images.  Each word's image of each witness is computed once.
     """
     K = state.rounds_completed if rounds is None else rounds
     if K < 1 or K > state.rounds_completed:
         raise ValueError("rounds out of range for this state")
     # Least vertex of F_{k+1} moved by phi_k, per k (x_k guarantees existence).
-    movers = []
-    for k in range(K):
-        moved = [v for v in sorted(state.fsets[k + 1]) if state.phis[k](v) != v]
-        movers.append(moved[0] if moved else None)
-    words = [EpsilonWord.from_int(m, K) for m in range(2 ** K)]
+    movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
+                  default=None) for k in range(K)]
+    words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
+    images = [[None if v is None else _forward(state.phis, bits, K - 1, v)
+               for v in movers] for bits in words]
     out: list[PairWitness] = []
-    for ia in range(len(words)):
+    for ia, wa in enumerate(words):
         for ib in range(ia + 1, len(words)):
-            wa, wb = words[ia], words[ib]
-            k = next(i for i in range(K) if wa[i] != wb[i])
+            diff = ia ^ ib  # word bit i is bit i of the index
+            k = (diff & -diff).bit_length() - 1
             v = movers[k]
             if v is None:
                 continue  # no witness: caller's pair count check will fail
-            img_a = _forward(state.phis, wa.bits, K - 1, v)
-            img_b = _forward(state.phis, wb.bits, K - 1, v)
-            out.append(PairWitness(wa.bits, wb.bits, k, v, img_a, img_b))
+            out.append(PairWitness(wa, words[ib], k, v, images[ia][k],
+                                   images[ib][k]))
     return out
 
 

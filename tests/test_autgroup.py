@@ -187,3 +187,11 @@ class TestAutomorphismGroup:
     def test_large_families(self):
         assert automorphism_group(cycle(400)).order() == 800
         assert automorphism_group(binary_tree(6).graph).order() == 2 ** 63
+
+    def test_orbit_pruning_generator_counts(self):
+        # the generator list is part of aut's output; weaker orbit pruning
+        # keeps the group but finds more generators
+        for g, count in ((petersen(), 3), (complete(10), 9),
+                         (complete_bipartite(5, 5), 9), (cycle(40), 2),
+                         (binary_tree(4).graph, 15), (comb(6).graph, 7)):
+            assert len(automorphism_group(g).generators) == count

@@ -111,6 +111,26 @@ class TestLimitSim:
         assert results["inverse_consistency"] is True
         assert results["construction"]["completed_rounds"] == 3
 
+    def test_depth13_k10(self, capsys):
+        code, out, _ = run_cli(capsys, "limit-sim", "--family", "binary-tree",
+                               "--depth", "13", "--k", "10")
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["distinctness"] == {"pairs": 523776,
+                                           "witnessed": 523776}
+        assert results["inverse_consistency"] is True
+
+    @pytest.mark.parametrize("budget, code", [("27", 4), ("28", 0)])
+    def test_pair_budget(self, capsys, monkeypatch, budget, code):
+        # K = 3 has C(8, 2) = 28 pairs
+        monkeypatch.setenv("HALINKIT_BUDGET", budget)
+        got, out, err = run_cli(capsys, "limit-sim", "--family", "binary-tree",
+                                "--depth", "12", "--k", "3")
+        assert got == code
+        if code == 4:
+            assert out == ""
+            assert "28 pairs, budget 27" in err
+
     def test_k0_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "limit-sim", "--family", "binary-tree",
                                "--depth", "5", "--k", "0")

@@ -81,16 +81,19 @@ class TestRunConstruction:
             assert st.family.graph.is_automorphism(phi.images)
 
     def test_closure_is_exactly_the_mandated_union(self, tree12_k3):
-        st = tree12_k3
-        for k in range(3):
-            expected = {st.xs[k], k + 1}
-            for m in range(2 ** (k + 1)):
-                bits = EpsilonWord.from_int(m, k + 1)
-                fwd = alpha_perm(st, bits)
-                bwd = alpha_inverse_perm(st, bits)
-                expected |= {fwd(v) for v in st.fsets[k]}
-                expected |= {bwd(v) for v in st.fsets[k]}
-            assert st.fsets[k + 1] == frozenset(expected)
+        # word by word, the oracle for the iterated unions
+        for st in (tree12_k3, run_construction(comb(14), 6),
+                   run_construction(binary_tree(8), 6)):
+            assert not st.exhausted
+            for k in range(st.rounds_completed):
+                expected = {st.xs[k], k + 1}
+                for m in range(2 ** (k + 1)):
+                    bits = EpsilonWord.from_int(m, k + 1)
+                    fwd = alpha_perm(st, bits)
+                    bwd = alpha_inverse_perm(st, bits)
+                    expected |= {fwd(v) for v in st.fsets[k]}
+                    expected |= {bwd(v) for v in st.fsets[k]}
+                assert st.fsets[k + 1] == frozenset(expected)
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +195,22 @@ class TestDistinctness:
     def test_rounds_out_of_range(self, tree12_k3):
         with pytest.raises(ValueError):
             verify_distinctness(tree12_k3, 4)
+
+    def test_witnesses_match_word_by_word_oracle(self, tree12_k3):
+        for st in (tree12_k3, run_construction(comb(12), 5)):
+            K = st.rounds_completed
+            words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
+            perms = {bits: alpha_perm(st, bits) for bits in words}
+            wits = verify_distinctness(st)
+            assert [(w.word_a, w.word_b) for w in wits] == [
+                (a, b) for i, a in enumerate(words) for b in words[i + 1:]]
+            for w in wits:
+                k = next(i for i in range(K) if w.word_a[i] != w.word_b[i])
+                assert w.first_diff == k
+                assert w.vertex == min(v for v in st.fsets[k + 1]
+                                       if st.phis[k](v) != v)
+                assert w.image_a == perms[w.word_a](w.vertex)
+                assert w.image_b == perms[w.word_b](w.vertex)
 
 
 class TestInverseConsistency:
