@@ -4,6 +4,9 @@ Everything downstream (orders, membership, point and setwise stabilizers,
 exhaustive element listings) runs through the BSGS.  Generators known to be
 strong for a base give the chain directly; any others go through the classic
 deterministic Schreier-Sims procedure, so repeated runs build identical chains.
+A stabilizer query rebases the group's own chain: Schreier-Sims seeded with
+its strong generators and the query points, stopped at the known order.  The
+setwise stabilizer's chain is then read off one coset backtrack.
 """
 
 from __future__ import annotations
@@ -94,13 +97,16 @@ def _orbit_transversal(degree: int, point: int,
 
 
 def _schreier_sims(degree: int, generators: Sequence[Permutation],
-                   prefix: Sequence[int] = ()) -> _Chain:
+                   prefix: Sequence[int] = (),
+                   order: int | None = None) -> _Chain:
     """Deterministic Schreier-Sims.
 
     ``prefix`` points are installed as the first base points verbatim (even
     when redundant) so stabilizer queries can read the chain directly; after
     the prefix, new base points are chosen as the least point moved by the
-    offending generator.
+    offending generator.  Given the group's ``order``, the sweep stops as
+    soon as the chain reaches it: basic orbits whose lengths multiply to
+    |G| are the full ones, so the rest of the sweep would add nothing.
     """
     sgs: list[Permutation] = []
     for g in generators:
@@ -121,7 +127,7 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation],
 
     chain = _Chain.read(degree, base, sgs)
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and chain.order() != order:
         stuck: tuple[int, Permutation] | None = None
         t_i = chain.transversals[i]
         for a in sorted(t_i):
@@ -231,15 +237,15 @@ class PermGroup:
 
     def _prefixed(self, points: Iterable[int]
                   ) -> tuple[_Chain, list[Permutation]]:
-        """The chain rebuilt with the sorted points as its leading base
+        """The chain rebased with the sorted points as its leading base
         points, and the strong generators fixing every one of them (they
         generate the pointwise stabilizer of the points).  Every stabilizer
         query reads this; a point out of range raises ValueError."""
         ordered = sorted(set(points))
-        # seeding with the default chain's strong generators makes the
-        # prefixed rebuild converge in few rounds
+        # a rebase, not a rebuild: the group's own strong generators seed
+        # Schreier-Sims, which stops once the chain reaches the known order
         chain = _schreier_sims(self.degree, self.chain().strong_gens,
-                               prefix=ordered)
+                               prefix=ordered, order=self.order())
         return chain, [g for g in chain.strong_gens
                        if all(g(p) == p for p in ordered)]
 
@@ -247,7 +253,7 @@ class PermGroup:
         """Subgroup fixing every given point, read off a prefixed chain."""
         points = frozenset(points)
         if not points:
-            return PermGroup(self.degree, self.generators)
+            return self
         chain, stab_gens = self._prefixed(points)
         m = len(points)
         group = PermGroup(self.degree, stab_gens)
@@ -255,62 +261,46 @@ class PermGroup:
                               chain.transversals[m:], stab_gens)
         return group
 
-    def _set_stab_reps(self, chain: _Chain, target: frozenset[int],
-                       limit: int | None = None) -> list[Permutation]:
-        """Coset representatives w (over the pointwise stabilizer of the
-        prefix) with w(target) = target, found by backtracking; a partial
-        product whose decided images leave the set is pruned."""
-        m = len(target)
-        reps: list[Permutation] = []
-
-        def search(level: int, w: Permutation) -> bool:
-            if level == m:
-                reps.append(w)
-                return limit is not None and len(reps) >= limit
-            t = chain.transversals[level]
-            for a in sorted(t):
-                if w(a) in target:
-                    if search(level + 1, w * t[a]):
-                        return True
-            return False
-
-        search(0, Permutation.identity(self.degree))
-        return reps
-
     def set_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """Subgroup preserving the given set, by backtracking over the chain.
+        """Subgroup preserving the given set, with its chain read off one
+        backtrack over the coset products of a prefixed chain.
 
-        The chain is rebuilt with the set's points as the leading base
-        points.  Every valid coset representative together with the
-        pointwise stabilizer generates the setwise stabilizer.
+        The set's points lead the base.  A product u_j...u_{m-1} of
+        transversal elements from level j on, with u_j(base[j]) = a and
+        every decided image inside the set, preserves the set, fixes
+        base[:j] and maps base[j] to a.  One such product per (j, a), the
+        first the backtrack reaches, together with the pointwise stabilizer's
+        generators is a strong generating set for the prefixed base.
         """
         target = frozenset(points)
         if not target:
-            return PermGroup(self.degree, self.generators)
+            return self
         chain, gens = self._prefixed(target)
-        reps = self._set_stab_reps(chain, target)
-        # Compress: distinct coset representatives can be numerous, but each
-        # new generator at least doubles the group, so few survive.
-        group = PermGroup(self.degree, gens)
-        for rep in reps:
-            if not rep.is_identity() and not group.contains(rep):
-                gens.append(rep)
-                group = PermGroup(self.degree, gens)
-        return group
+        m = len(target)
+        keys = [sorted(t) for t in chain.transversals[:m]]
+
+        def first_leaf(level: int, w: Permutation) -> Permutation | None:
+            if level == m:
+                return w
+            t = chain.transversals[level]
+            for a in keys[level]:
+                if w(a) in target:
+                    leaf = first_leaf(level + 1, w * t[a])
+                    if leaf is not None:
+                        return leaf
+            return None
+
+        for j in range(m):
+            for a in keys[j]:
+                if a != chain.base[j] and a in target:
+                    leaf = first_leaf(j + 1, chain.transversals[j][a])
+                    if leaf is not None:
+                        gens.append(leaf)
+        return PermGroup.from_strong_generators(self.degree, gens, chain.base)
 
     def set_stabilizer_is_trivial(self, points: Iterable[int]) -> bool:
-        """True iff only the identity preserves the set.
-
-        Equivalent to ``set_stabilizer(points).is_trivial()`` but aborts the
-        backtracking as soon as a second coset representative shows up.
-        """
-        target = frozenset(points)
-        if not target:
-            return self.order() == 1
-        chain, pointwise = self._prefixed(target)
-        if pointwise:
-            return False  # nontrivial pointwise stabilizer
-        return len(self._set_stab_reps(chain, target, limit=2)) == 1
+        """True iff only the identity preserves the set."""
+        return self.set_stabilizer(points).is_trivial()
 
     def to_json(self) -> dict:
         return {"degree": self.degree,

@@ -248,16 +248,18 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     with X = union of a(Y) over the elements a with a(Y) meeting Y, prefer
     vertices outside X that are moved by the stabilizer of Y.  Falls back
     to the other vertices that stabilizer moves: if it fixes v, it also
-    preserves Y + {v}, so v cannot cut the order.  Returns None
-    ("stalled") when no vertex produces a proper subgroup, which finite
-    graphs can legitimately hit.
+    preserves Y + {v}, so v cannot cut the order.  A candidate v qualifies
+    when every generator of stab(Y + {v}) preserves Y.  That group is then
+    stab(Y)_v, the elements of stab(Y) fixing v, a proper subgroup because
+    stab(Y) moves v; so no orders are compared.
+    Returns None ("stalled") when no vertex produces a proper subgroup,
+    which finite graphs can legitimately hit.
     """
     yset = frozenset(y)
     if len(yset) < 2:
         raise ValueError("reducing vertex needs |Y| >= 2")
     stab_y = group.set_stabilizer(yset)
-    order_y = stab_y.order()
-    if order_y == 1:
+    if stab_y.is_trivial():
         raise ValueError("setwise stabilizer of Y is already trivial")
 
     moved_by_stab = {v for gen in stab_y.generators for v in gen.support()}
@@ -275,8 +277,6 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     x = {v for u, v in pairs if u in yset}  # contains Y
     for v in sorted(moved_by_stab - yset, key=lambda v: (v in x, v)):
         stab_v = group.set_stabilizer(yset | {v})
-        if stab_v.order() >= order_y:
-            continue
         if all(frozenset(gen(u) for u in yset) == yset
                for gen in stab_v.generators):
             return v

@@ -39,6 +39,23 @@ def random_corpus(count=RANDOM_COUNT, seed=RANDOM_SEED):
     return out
 
 
+def hypercube(d):
+    """The d-cube Q_d on the bit strings 0..2^d - 1."""
+    n = 1 << d
+    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
+                     if not v >> b & 1])
+
+
+def random_regular(n, d, rng):
+    """A random simple d-regular graph on n vertices (pairing model)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * d // 2 and all(a != b for a, b in edges):
+            return Graph(n, edges)
+
+
 def small_corpus():
     """The full <= 8 vertex corpus used by the acceptance oracle sweeps."""
     return family_corpus() + random_corpus()

@@ -8,18 +8,9 @@ from halinkit.graphs import (Graph, binary_tree, comb, complete,
 from halinkit.groups import _schreier_sims
 from halinkit.perms import Permutation
 
+from corpus import hypercube, random_regular
 from oracles import (brute_automorphisms, coarsest_equitable,
                      networkx_automorphisms)
-
-
-def random_regular(n, d, rng):
-    """A random simple d-regular graph on n vertices (pairing model)."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == n * d // 2 and all(a != b for a, b in edges):
-            return Graph(n, edges)
 
 
 def planted(n, transpositions, rng):
@@ -42,12 +33,6 @@ def planted(n, transpositions, rng):
 def disjoint_union(g, copies):
     return Graph(g.n * copies, [(i + k * g.n, j + k * g.n)
                                 for k in range(copies) for i, j in g.edges])
-
-
-def hypercube(d):
-    n = 1 << d
-    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
-                     if not v >> b & 1])
 
 
 def differential_graphs():

@@ -1,14 +1,19 @@
 import math
+import random
 
 import pytest
 
-from halinkit.graphs import complete, cycle
+from halinkit.autgroup import automorphism_group
+from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
+                             petersen)
+from halinkit.invariants import distinguishing_cost
 from halinkit.perms import Permutation
-from halinkit.groups import GroupTooLargeError, PermGroup
+from halinkit.groups import GroupTooLargeError, PermGroup, _schreier_sims
 
 from conftest import dihedral
+from corpus import hypercube, random_regular, small_corpus
 from oracles import (brute_automorphisms, brute_point_stabilizer,
-                     brute_set_stabilizer)
+                     brute_set_stabilizer, networkx_automorphisms)
 
 
 def symmetric(n):
@@ -177,3 +182,85 @@ class TestInvariants:
             for s in [{0}, {0, 1}, {0, 2}]:
                 assert group.set_stabilizer(s).order() == \
                     len(brute_set_stabilizer(elems, s))
+
+
+class TestRebase:
+    """Stabilizer queries rebase the group's own chain."""
+
+    def test_known_order_stop_is_exact(self):
+        rng = random.Random(8)
+        graphs = [g for _, g in small_corpus()[::4]]
+        graphs += [petersen(), hypercube(4), complete_bipartite(4, 5)]
+        cases = [automorphism_group(g) for g in graphs]
+        cases += [symmetric(6), dihedral(9)]
+        for group in cases:
+            n = group.degree
+            sgs = group.chain().strong_gens
+            for _ in range(3):
+                prefix = sorted(rng.sample(range(n), rng.randint(1, n)))
+                full = _schreier_sims(n, sgs, prefix)
+                stopped = _schreier_sims(n, sgs, prefix, group.order())
+                assert stopped.base == full.base
+                assert stopped.strong_gens == full.strong_gens
+                assert ([sorted(t) for t in stopped.transversals]
+                        == [sorted(t) for t in full.transversals])
+
+    def test_binary_tree_point_stabilizers(self):
+        group = automorphism_group(binary_tree(7).graph)
+        # every automorphism fixes the root 0; fixing a child of the root
+        # forbids the swap of the root's two subtrees
+        assert group.point_stabilizer({0}).order() == 2 ** 127
+        assert group.point_stabilizer({1}).order() == 2 ** 126
+
+    def test_empty_queries_keep_the_chain(self, monkeypatch):
+        group = automorphism_group(binary_tree(6).graph)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Schreier-Sims ran")
+
+        monkeypatch.setattr("halinkit.groups._schreier_sims", refuse)
+        assert group.point_stabilizer(()).order() == 2 ** 63
+        assert group.set_stabilizer(()).order() == 2 ** 63
+
+
+def _preserves(images, points):
+    return frozenset(images[x] for x in points) == points
+
+
+class TestSetStabilizerPastBruteForce:
+    """Set stabilizers against networkx element lists for n = 9..16."""
+
+    def test_matches_networkx(self):
+        rng = random.Random(12)
+        graphs = [petersen(), hypercube(4), cycle(12), complete_bipartite(4, 5)]
+        graphs += [random_regular(n, 3, rng) for n in (10, 12, 14)]
+        for g in graphs:
+            group = automorphism_group(g)
+            elems = networkx_automorphisms(g)
+            for _ in range(6):
+                points = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+                stab = group.set_stabilizer(points)
+                want = sum(_preserves(p, points) for p in elems)
+                assert stab.order() == want
+                assert all(_preserves(h.images, points) for h in stab.generators)
+                assert group.set_stabilizer_is_trivial(points) == (want == 1)
+
+    def test_first_leaf_per_subtree(self, monkeypatch):
+        """A subtree off the identity path is left at its first leaf; a
+        backtrack that listed every coset of S9 in S10 would make at least
+        9! products."""
+        assert distinguishing_cost(automorphism_group(complete(10))) is None
+        assert distinguishing_cost(
+            automorphism_group(complete_bipartite(5, 5))) is None
+        group = automorphism_group(complete(10))
+        products = 0
+        multiply = Permutation.__mul__
+
+        def counted(p, q):
+            nonlocal products
+            products += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        assert group.set_stabilizer(range(9)).order() == 362_880
+        assert products < 10_000

@@ -13,6 +13,7 @@ from halinkit.perms import Permutation
 from halinkit.groups import PermGroup
 
 from conftest import dihedral
+from corpus import hypercube
 from oracles import (brute_automorphisms, brute_determining_number,
                      brute_distinguishing_cost, brute_motion,
                      longest_subgroup_chain, networkx_automorphisms)
@@ -20,12 +21,6 @@ from oracles import (brute_automorphisms, brute_determining_number,
 
 def aut(g):
     return automorphism_group(g)
-
-
-def hypercube(d):
-    n = 1 << d
-    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
-                     if not v >> b & 1])
 
 
 # Past the Sym(n) filter's reach: (graph, determining number, distinguishing
