@@ -9,6 +9,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -280,16 +281,16 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
 
 
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
-    """Seeded random words over the generators (identity when there are none)."""
+    """Seeded words of 12 generators (identity if none), gathered as p * g."""
     rng = random.Random(seed)
-    gens = list(group.generators)
+    gathers = [g.gather() for g in group.generators]
     out = []
     for _ in range(count):
-        p = Permutation.identity(group.degree)
-        if gens:
+        images = tuple(range(group.degree))
+        if gathers:
             for _ in range(12):
-                p = p * gens[rng.randrange(len(gens))]
-        out.append(p)
+                images = gathers[rng.randrange(len(gathers))](images)
+        out.append(Permutation._raw(images))
     return out
 
 
@@ -348,6 +349,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halinkit",

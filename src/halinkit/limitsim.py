@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .graphs import TruncatedFamily
 from .perms import Permutation
@@ -283,9 +284,8 @@ def alpha_inverse_perm(state: ConstructionState,
     return alpha_perm(state, word).inverse()
 
 
-@dataclass(frozen=True)
-class PairWitness:
-    """A vertex separating the maps of two sign words."""
+class PairWitness(NamedTuple):
+    """A vertex separating the maps of two sign words (an immutable tuple)."""
 
     word_a: tuple[int, ...]
     word_b: tuple[int, ...]

@@ -1,12 +1,13 @@
 """Permutations of {0..n-1} in image-array form.
 
 Composition is right-to-left throughout: ``(a * b)(x) == a(b(x))``, so in a
-product the rightmost factor acts first.
+product the rightmost factor acts first; each product is a C-level gather.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 
 class Permutation:
@@ -51,10 +52,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # self after other: (self * other)(x) = self(other(x))
-        mine = self.images
-        if len(mine) != len(other.images):
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Permutation._raw(tuple(mine[i] for i in other.images))
+        return Permutation._raw(other.gather()(self.images))
+
+    def gather(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """The map p.images -> (p * self).images, one C-level itemgetter."""
+        if len(self.images) <= 1:  # only the identity; itemgetter needs 2+
+            return tuple
+        return itemgetter(*self.images)
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:

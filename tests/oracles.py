@@ -154,3 +154,37 @@ def coarsest_equitable(g, cells):
         if len(split) == len(cells):
             return set(cells)
         cells = split
+
+
+def sample_words_by_products(group, count, seed):
+    """The topology sampler as full Permutation products: per sample, the
+    identity times 12 generators drawn by ``rng.randrange``, left to right
+    (identity samples when the group has no generators)."""
+    import random
+
+    from halinkit.perms import Permutation
+
+    rng = random.Random(seed)
+    gens = list(group.generators)
+    out = []
+    for _ in range(count):
+        p = Permutation.identity(group.degree)
+        if gens:
+            for _ in range(12):
+                p = p * gens[rng.randrange(len(gens))]
+        out.append(p)
+    return out
+
+
+def ultrametric_violations_by_fractions(e, triples, dist):
+    """The strong triangle check on exact Fraction distances, three per
+    triple: d(a,c) > max(d(a,b), d(b,c)) is a violation."""
+    violations = []
+    for a, b, c in triples:
+        dac, dab, dbc = dist(e, a, c), dist(e, a, b), dist(e, b, c)
+        if dac > max(dab, dbc):
+            violations.append({
+                "triple": [list(a.images), list(b.images), list(c.images)],
+                "d_ac": str(dac), "d_ab": str(dab), "d_bc": str(dbc),
+            })
+    return violations

@@ -1,10 +1,19 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from halinkit.cli import main
-from halinkit.graphs import cycle, encode_graph6, to_json
+import halinkit
+from halinkit.autgroup import automorphism_group
+from halinkit.cli import _sample_elements, main
+from halinkit.graphs import (binary_tree, cycle, encode_graph6, path,
+                             petersen, to_json)
+
+from oracles import sample_words_by_products
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +192,54 @@ class TestTopology:
             "--exhaustion", "0,1|0,1,2", "--triples", "-3")
         assert code == 2 and out == ""
         assert "--triples" in err
+
+
+    @pytest.mark.parametrize("graph", [
+        cycle(7), petersen(), binary_tree(5).graph, path(1)],
+        ids=["cycle7", "petersen", "binary-tree5", "path1"])
+    def test_sampler_matches_product_oracle(self, graph):
+        group = automorphism_group(graph)
+        for seed in (0, 7, 123456):
+            assert _sample_elements(group, 30, seed) == \
+                sample_words_by_products(group, 30, seed)
+
+
+class TestParserReuse:
+    """main builds its parser once; no call may see what an earlier one
+    left behind, so each output equals the same call run first in a fresh
+    interpreter."""
+
+    CALLS = [
+        ("topology", "--family", "cycle", "--n", "4", "--exhaustion", "0|0,1",
+         "--pair", "[1,2,3,0]", "[1,2,0,3]",
+         "--pair", "[0,1,2,3]", "[0,1,2,3]"),
+        ("topology", "--family", "cycle", "--n", "4", "--exhaustion", "0|0,1"),
+        ("topology", "--family", "cycle", "--n", "4", "--triples", "x"),
+        ("greedy", "--family", "cycle", "--n", "8", "--base", "0,1"),
+    ]
+    WALL_TIME = re.compile(r',"wall_time_ms":[-+0-9.eE]+')
+
+    def first_in_process(self, argv):
+        src = os.path.dirname(os.path.dirname(halinkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom halinkit.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, self.WALL_TIME.sub("", done.stdout), done.stderr
+
+    def test_calls_share_no_state(self, capsys):
+        expected = [self.first_in_process(argv) for argv in self.CALLS]
+        assert [e[0] for e in expected] == [0, 0, 2, 0]
+        for _ in range(2):
+            for argv, want in zip(self.CALLS, expected):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                got = (code, self.WALL_TIME.sub("", captured.out), captured.err)
+                assert got == want, argv
 
 
 class TestInputChannels:

@@ -1,9 +1,9 @@
 import pytest
 
 from halinkit.graphs import binary_tree, comb
-from halinkit.limitsim import (ConstructionState, EpsilonWord, alpha,
-                               alpha_inverse_perm, alpha_perm, depth_budget,
-                               fixing_oracle, run_construction,
+from halinkit.limitsim import (ConstructionState, EpsilonWord, PairWitness,
+                               alpha, alpha_inverse_perm, alpha_perm,
+                               depth_budget, fixing_oracle, run_construction,
                                verify_distinctness, verify_finitary)
 from halinkit.perms import Permutation
 
@@ -195,6 +195,17 @@ class TestDistinctness:
     def test_rounds_out_of_range(self, tree12_k3):
         with pytest.raises(ValueError):
             verify_distinctness(tree12_k3, 4)
+
+    def test_witness_is_an_immutable_hashable_tuple(self, tree12_k3):
+        w = verify_distinctness(tree12_k3, 3)[0]
+        with pytest.raises(AttributeError):
+            w.vertex = 0
+        assert PairWitness._fields == ("word_a", "word_b", "first_diff",
+                                       "vertex", "image_a", "image_b")
+        assert w == tuple(w) and hash(w) == hash(tuple(w))
+        assert len({w, PairWitness(*w)}) == 1
+        assert list(w.to_json()) == list(PairWitness._fields)
+        assert w.to_json()["word_a"] == list(w.word_a)
 
     def test_witnesses_match_word_by_word_oracle(self, tree12_k3):
         for st in (tree12_k3, run_construction(comb(12), 5)):

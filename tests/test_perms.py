@@ -36,6 +36,31 @@ def test_composition_is_right_to_left():
     assert ab.images == tuple(a(b(x)) for x in range(3))
 
 
+def test_product_small_degrees():
+    # degree <= 1 has only the identity; degree 2 is the first real gather
+    empty, one = Permutation([]), Permutation([0])
+    assert (empty * empty).images == ()
+    assert (one * one).images == (0,)
+    swap, ident = Permutation([1, 0]), Permutation.identity(2)
+    assert (swap * swap).images == (0, 1)
+    assert (swap * ident).images == (ident * swap).images == (1, 0)
+    for p in (empty, one, swap):
+        assert type(p * p) is Permutation and type((p * p).images) is tuple
+        assert p.gather()(p.images) == (p * p).images
+    with pytest.raises(ValueError):
+        one * swap
+
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.permutations(list(range(n))),
+                        st.permutations(list(range(n))))))
+def test_product_is_pointwise_composition(pair):
+    a, b = (Permutation(x) for x in pair)
+    ab = a * b
+    assert ab.images == tuple(a(b(x)) for x in range(a.degree))
+    assert ab == Permutation(ab.images)  # a bijection, validated
+
+
 def test_from_cycles():
     p = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
     assert p.images == (1, 2, 3, 4, 0)

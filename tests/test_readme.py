@@ -1,0 +1,37 @@
+"""The README's CLI examples run as written and exit 0."""
+
+import os
+import re
+import shlex
+
+import pytest
+
+from halinkit.cli import main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+
+
+def cli_examples():
+    """Each ``halinkit ...`` command of the README's ``sh`` blocks, with
+    backslash continuations joined and trailing comments dropped."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["halinkit"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert len(cli_examples()) >= 7
+
+
+@pytest.mark.parametrize("argv", cli_examples(), ids=lambda a: " ".join(a))
+def test_readme_cli_example_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("{") and f'"command":"{argv[0]}"' in out

@@ -11,6 +11,7 @@ from halinkit.topology import (Exhaustion, check_cauchy, check_ultrametric,
                                confluent, dist, dist_star)
 
 from conftest import dihedral
+from oracles import ultrametric_violations_by_fractions
 
 
 class TestExhaustion:
@@ -154,6 +155,47 @@ class TestUltrametric:
         e = Exhaustion.prefixes(6)
         p, q = d6.elements()[:2]
         assert check_ultrametric(e, [(p, p, q), (p, p, p), (q, p, q)]) == []
+
+    def test_confluent_rule_matches_fractions_on_seeded_triples(self):
+        rng = random.Random(2024)
+        n = 8
+        # a non-covering exhaustion: permutations that differ only on 6 and
+        # 7 are equal on every set, and so are the pairs with a == b
+        partial = Exhaustion(n, [{0}, {0, 1, 2}, set(range(6))])
+        pool = [Permutation(rng.sample(range(n), n)) for _ in range(12)]
+        pool += [p * Permutation.from_cycles(n, [(6, 7)]) for p in pool[:6]]
+        for e in list(self.exhaustions(n)) + [partial]:
+            triples = [tuple(rng.choice(pool) for _ in range(3))
+                       for _ in range(400)]
+            triples += [(p, p, q) for p, q in zip(pool, pool[12:])]
+            triples += [(p, q, p) for p, q in zip(pool, pool[12:])]
+            assert any(confluent(e, a, b) is None for a, b, _ in triples
+                       if a != b) == (e is partial)
+            assert check_ultrametric(e, triples) == \
+                ultrametric_violations_by_fractions(e, triples, dist) == []
+
+    def test_confluent_rule_matches_fractions_on_arbitrary_confluents(
+            self, monkeypatch):
+        # A true exhaustion admits no violation, so feed both rules seeded
+        # confluents (None included) that need not come from one, and
+        # compare the violation records too.
+        import halinkit.topology as topology
+        rng = random.Random(99)
+        e = Exhaustion.prefixes(4)
+        pool = [Permutation(p) for p in
+                ([0, 1, 2, 3], [1, 0, 2, 3], [0, 2, 1, 3], [3, 1, 2, 0],
+                 [1, 2, 3, 0])]
+        table = {}
+        for i, p in enumerate(pool):
+            for q in pool[i:]:
+                value = None if p == q else rng.choice([0, 1, 2, 3, None])
+                table[p, q] = table[q, p] = value
+        monkeypatch.setattr(topology, "confluent",
+                            lambda e, a, b: table[a, b])
+        triples = [(a, b, c) for a in pool for b in pool for c in pool]
+        got = check_ultrametric(e, triples)
+        assert got == ultrametric_violations_by_fractions(e, triples, dist)
+        assert got and any("0" in (v["d_ab"], v["d_bc"]) for v in got)
 
     @settings(max_examples=200)
     @given(st.data())
