@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -281,17 +282,30 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
 
 
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
-    """Seeded words of 12 generators (identity if none), gathered as p * g."""
+    """Seeded words of 12 generators (identity if none), as products p * g.
+
+    Letters are ``rng.randrange(m)``, drawn as CPython 3.10-3.13 draws them
+    (the first ``getrandbits(m.bit_length())`` below m) by one C iterator,
+    b at a time: b is the largest of 1, 2, 3, 4, 6 with m^b <= max(m, 16),
+    and each block is one precomputed gather of its product.
+    """
+    gens = group.generators or [Permutation.identity(group.degree)]
+    gathers, m = [g.gather() for g in gens], len(gens)
+    identity = tuple(range(group.degree))
+
+    def compose(letters) -> tuple[int, ...]:
+        images = identity
+        for gather in letters:
+            images = gather(images)
+        return images
+
+    b = max(b for b in (1, 2, 3, 4, 6) if m ** b <= max(m, 16))
+    table = {block: Permutation._raw(compose(map(gathers.__getitem__, block))).gather()
+             for block in itertools.product(range(m), repeat=b)}
     rng = random.Random(seed)
-    gathers = [g.gather() for g in group.generators]
-    out = []
-    for _ in range(count):
-        images = tuple(range(group.degree))
-        if gathers:
-            for _ in range(12):
-                images = gathers[rng.randrange(len(gathers))](images)
-        out.append(Permutation._raw(images))
-    return out
+    draws = filter(m.__gt__, map(rng.getrandbits, itertools.repeat(m.bit_length())))
+    words = zip(*[map(table.__getitem__, zip(*[draws] * b))] * (12 // b))
+    return [Permutation._raw(compose(word)) for word in itertools.islice(words, count)]
 
 
 def _cmd_topology(args) -> tuple[dict, int]:
@@ -324,6 +338,10 @@ def _cmd_topology(args) -> tuple[dict, int]:
         })
     results["queries"] = queries
     if args.triples:
+        budget = _budget()
+        if 3 * args.triples > budget:
+            raise ResourceLimitError(
+                f"ultrametric check needs {3 * args.triples} samples, budget {budget}")
         group = automorphism_group(g)
         sample = _sample_elements(group, 3 * args.triples, args.seed)
         triples = [tuple(sample[3 * i:3 * i + 3]) for i in range(args.triples)]

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from .perms import Permutation
 
 
 class Exhaustion:
-    """A strictly nested sequence of finite nonempty subsets of {0..n-1}."""
+    """A strictly nested sequence of finite nonempty subsets of {0..n-1},
+    with one gather per (nonempty) layer X_i - X_{i-1} for :func:`confluent`."""
 
-    __slots__ = ("degree", "sets")
+    __slots__ = ("degree", "sets", "_layers")
 
     def __init__(self, degree: int, sets: Iterable[Iterable[int]]):
         canon = tuple(frozenset(s) for s in sets)
@@ -37,6 +39,8 @@ class Exhaustion:
                 raise ValueError("exhaustion sets must be strictly nested")
         self.degree = degree
         self.sets = canon
+        self._layers = tuple(itemgetter(*sorted(b - a))
+                             for a, b in zip((frozenset(),) + canon, canon))
 
     @classmethod
     def prefixes(cls, degree: int) -> "Exhaustion":
@@ -61,10 +65,12 @@ def _check_degrees(e: Exhaustion, *perms: Permutation) -> None:
 
 
 def confluent(e: Exhaustion, a: Permutation, b: Permutation) -> int | None:
-    """Least index i with a disagreement inside X_i; None if none exists."""
+    """Least index i with a disagreement inside X_i; None if none exists.
+
+    That is the first layer whose gathers (a scalar for one point) differ."""
     _check_degrees(e, a, b)
-    for i, xs in enumerate(e.sets):
-        if any(a(x) != b(x) for x in xs):
+    for i, layer in enumerate(e._layers):
+        if layer(a.images) != layer(b.images):
             return i
     return None
 

@@ -176,6 +176,15 @@ def sample_words_by_products(group, count, seed):
     return out
 
 
+def confluent_by_points(e, a, b):
+    """The confluent point by point: the least i with a(x) != b(x) for some
+    x in X_i, or None when a and b agree on every set."""
+    for i, xs in enumerate(e.sets):
+        if any(a(x) != b(x) for x in xs):
+            return i
+    return None
+
+
 def ultrametric_violations_by_fractions(e, triples, dist):
     """The strong triangle check on exact Fraction distances, three per
     triple: d(a,c) > max(d(a,b), d(b,c)) is a violation."""

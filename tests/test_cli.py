@@ -10,8 +10,8 @@ import pytest
 import halinkit
 from halinkit.autgroup import automorphism_group
 from halinkit.cli import _sample_elements, main
-from halinkit.graphs import (binary_tree, cycle, encode_graph6, path,
-                             petersen, to_json)
+from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
+                             encode_graph6, path, petersen, to_json)
 
 from oracles import sample_words_by_products
 
@@ -193,15 +193,51 @@ class TestTopology:
         assert code == 2 and out == ""
         assert "--triples" in err
 
+    ULTRAMETRIC = ("topology", "--family", "cycle", "--n", "8",
+                   "--exhaustion", "0,1|0,1,2,3", "--triples")
 
-    @pytest.mark.parametrize("graph", [
-        cycle(7), petersen(), binary_tree(5).graph, path(1)],
-        ids=["cycle7", "petersen", "binary-tree5", "path1"])
+    def test_triples_over_budget_exit4(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALINKIT_BUDGET", "2999")
+        code, out, err = run_cli(capsys, *self.ULTRAMETRIC, "1000")
+        assert code == 4 and out == ""
+        assert err == ("halinkit: resource limit: ultrametric check needs "
+                       "3000 samples, budget 2999\n")
+
+    def test_triples_within_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALINKIT_BUDGET", "3000")
+        code, out, _ = run_cli(capsys, *self.ULTRAMETRIC, "1000")
+        assert code == 0
+        assert payload(out)["results"]["ultrametric"]["violations"] == []
+
+    def test_triples_malformed_budget_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALINKIT_BUDGET", "x")
+        code, out, err = run_cli(capsys, *self.ULTRAMETRIC, "1")
+        assert code == 2 and out == ""
+        assert "HALINKIT_BUDGET" in err
+
+    SAMPLER_GRAPHS = [cycle(7), petersen(), binary_tree(5).graph, path(1),
+                      path(2), complete(4), complete(5), complete_bipartite(3, 3)]
+
+    @pytest.mark.parametrize("graph", SAMPLER_GRAPHS, ids=[
+        "cycle7", "petersen", "binary-tree5", "path1", "path2", "K4", "K5",
+        "K33"])
     def test_sampler_matches_product_oracle(self, graph):
         group = automorphism_group(graph)
         for seed in (0, 7, 123456):
             assert _sample_elements(group, 30, seed) == \
                 sample_words_by_products(group, 30, seed)
+            for count in (0, 1, 31):
+                assert _sample_elements(group, count, seed) == \
+                    sample_words_by_products(group, count, seed)
+
+    def test_sampler_graphs_cover_every_block_length(self):
+        # m generators are read in blocks of b letters, m^b <= max(m, 16):
+        # m = 1 -> b = 6, m = 2 -> 4, m = 3, 4 -> 2, m >= 5 -> 1; the draws
+        # of m = 3, 5, 31 (2, 3, 5 bits) reject some values, and m = 0 has
+        # only the identity to draw
+        counts = {len(automorphism_group(g).generators)
+                  for g in self.SAMPLER_GRAPHS}
+        assert counts == {0, 1, 2, 3, 4, 5, 31}
 
 
 class TestParserReuse:

@@ -11,7 +11,7 @@ from halinkit.topology import (Exhaustion, check_cauchy, check_ultrametric,
                                confluent, dist, dist_star)
 
 from conftest import dihedral
-from oracles import ultrametric_violations_by_fractions
+from oracles import confluent_by_points, ultrametric_violations_by_fractions
 
 
 class TestExhaustion:
@@ -67,6 +67,36 @@ class TestConfluent:
         e = Exhaustion.prefixes(4)
         with pytest.raises(ValueError):
             confluent(e, Permutation.identity(5), Permutation.identity(4))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_pointwise_oracle(self, data):
+        # random strictly nested exhaustions: prefixes of a shuffled domain
+        # cut at increasing sizes, so layers of one point occur often and
+        # the last set need not cover the domain
+        n = data.draw(st.integers(1, 9))
+        order = data.draw(st.permutations(range(n)))
+        cuts = data.draw(st.sets(st.integers(1, n), min_size=1))
+        e = Exhaustion(n, [order[:k] for k in sorted(cuts)])
+        a = Permutation(data.draw(st.permutations(range(n))))
+        b = a if data.draw(st.booleans()) else \
+            Permutation(data.draw(st.permutations(range(n))))
+        assert confluent(e, a, b) == confluent_by_points(e, a, b)
+        if a == b:
+            assert confluent(e, a, b) is None
+        with pytest.raises(ValueError):
+            confluent(e, a, Permutation.identity(n + 1))
+
+    def test_one_point_layers_and_partial_exhaustion(self):
+        e = Exhaustion(5, [{2}, {2, 4}, {0, 2, 4}])
+        ident = Permutation.identity(5)
+        cases = [([0, 1, 2, 3, 4], None), ([1, 0, 2, 3, 4], 2),
+                 ([0, 1, 2, 4, 3], 1), ([0, 1, 3, 2, 4], 0),
+                 ([0, 3, 2, 1, 4], None)]
+        for images, want in cases:
+            a = Permutation(images)
+            assert confluent(e, a, ident) == confluent_by_points(e, a, ident) \
+                == want
 
 
 class TestDist:
