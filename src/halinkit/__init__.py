@@ -19,7 +19,7 @@ from .invariants import (Bounds, BudgetExceededError, StabilizerChain, bounds,
                          distinguishing_cost, greedy_distinguishing_chain,
                          is_base, is_distinguishing, motion, motion_of,
                          reducing_vertex, subdegree_report)
-from .limitsim import (ConstructionState, EpsilonWord, alpha,
+from .limitsim import (ConstructionState, EpsilonWord, PairCertificate, alpha,
                        alpha_inverse_perm, alpha_perm, depth_budget,
                        fixing_oracle, run_construction, verify_distinctness,
                        verify_finitary)
@@ -39,9 +39,9 @@ __all__ = [
     "determining_number", "disjoint_translate", "distinguishing_cost",
     "greedy_distinguishing_chain", "is_base", "is_distinguishing", "motion",
     "motion_of", "reducing_vertex", "subdegree_report",
-    "ConstructionState", "EpsilonWord", "alpha", "alpha_inverse_perm",
-    "alpha_perm", "depth_budget", "fixing_oracle", "run_construction",
-    "verify_distinctness", "verify_finitary",
+    "ConstructionState", "EpsilonWord", "PairCertificate", "alpha",
+    "alpha_inverse_perm", "alpha_perm", "depth_budget", "fixing_oracle",
+    "run_construction", "verify_distinctness", "verify_finitary",
     "Permutation",
     "Exhaustion", "check_cauchy", "check_ultrametric", "confluent", "dist",
     "dist_star",

@@ -253,8 +253,7 @@ def _cmd_limit_sim(args) -> tuple[dict, int]:
         if pairs > budget:
             raise ResourceLimitError(
                 f"pair certificate needs {pairs} pairs, budget {budget}")
-        witnesses = verify_distinctness(state, args.k)
-        witnessed = sum(1 for w in witnesses if w.image_a != w.image_b)
+        witnessed = verify_distinctness(state, args.k).witnessed()
         exhaustion = state.exhaustion()
         word = EpsilonWord(tuple([1] * args.k))
         seq = [alpha_perm(state, word.bits[:k + 1]) for k in range(args.k)]
@@ -308,6 +307,14 @@ def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutatio
     return [Permutation._raw(compose(word)) for word in itertools.islice(words, count)]
 
 
+def _parse_images(raw: str) -> list[int]:
+    images = json.loads(raw)
+    if not (isinstance(images, list) and all(
+            type(v) is int for v in images)):  # bool is an int subclass
+        raise ValueError(f"{raw!r} is not a JSON list of integers")
+    return images
+
+
 def _cmd_topology(args) -> tuple[dict, int]:
     started = time.monotonic()
     g = _as_graph(_load_graph(args))
@@ -323,9 +330,9 @@ def _cmd_topology(args) -> tuple[dict, int]:
     queries = []
     for raw_a, raw_b in args.pair or []:
         try:
-            a = Permutation(json.loads(raw_a))
-            b = Permutation(json.loads(raw_b))
-        except (ValueError, json.JSONDecodeError) as exc:
+            a = Permutation(_parse_images(raw_a))
+            b = Permutation(_parse_images(raw_b))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise InputError(f"bad permutation pair: {exc}") from exc
         if a.degree != g.n or b.degree != g.n:
             raise InputError("pair permutations must act on the graph's vertices")

@@ -13,15 +13,19 @@ enumeration vertex k+1.  The union over all words is built without listing
 them: S <- S + phi_i(S) for i = k..0 gives the images, and
 T <- T + phi_i^{-1}(T) for i = 0..k the preimages.  The 2^K words of
 length K then evaluate to 2^K pairwise distinct vertex maps, which the
-verification helpers certify mechanically.  Minimal closures keep F_k
-small, maximizing the rounds a fixed truncation depth can host.
+verification helpers certify mechanically: ``verify_distinctness`` returns
+a lazy ``PairCertificate`` whose ``witnessed()`` counts the distinct-image
+pairs level by level, without building the C(2^K, 2) pair objects.
+Minimal closures keep F_k small, maximizing the rounds a fixed truncation
+depth can host.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .graphs import TruncatedFamily
@@ -300,14 +304,63 @@ class PairWitness(NamedTuple):
                 "image_a": self.image_a, "image_b": self.image_b}
 
 
+class PairCertificate(Sequence):
+    """The pair witnesses of ``verify_distinctness``, kept implicit: the
+    2^K words, each level's mover (None if phi_k fixes F_{k+1}) and the
+    2^K x K table of their images.  Iteration yields the same witnesses in
+    the same order as listing every pair would; indexing lists them once.
+    """
+
+    def __init__(self, words, movers, images):
+        self.words, self.movers, self.images = words, movers, images
+
+    def __len__(self) -> int:
+        K = len(self.movers)  # level k: 2^k prefixes x 2^(K-k-1) squared
+        return sum(1 << (2 * K - k - 2) for k, v in enumerate(self.movers)
+                   if v is not None)
+
+    def __iter__(self) -> Iterator[PairWitness]:
+        words, movers, images = self.words, self.movers, self.images
+        for ia, wa in enumerate(words):
+            for ib in range(ia + 1, len(words)):
+                diff = ia ^ ib  # word bit i is bit i of the index
+                k = (diff & -diff).bit_length() - 1
+                if movers[k] is not None:
+                    yield PairWitness(wa, words[ib], k, movers[k],
+                                      images[ia][k], images[ib][k])
+
+    @cached_property
+    def _listed(self) -> list[PairWitness]:
+        return list(self)
+
+    def __getitem__(self, i):
+        return self._listed[i]
+
+    def witnessed(self) -> int:
+        """Pairs with distinct images, in O(K * 2^K): per level k and low
+        bits p, an image shared by A words with bit k = 0 and B with bit
+        k = 1 takes A * B pairs off the level's count."""
+        total = len(self)
+        for k, v in enumerate(self.movers):
+            if v is None:
+                continue
+            column, half = [row[k] for row in self.images], 1 << k
+            for p in range(half):
+                b = Counter(column[p + half::2 * half])
+                total -= sum(n * b[x] for x, n in
+                             Counter(column[p::2 * half]).items())
+        return total
+
+
 def verify_distinctness(state: ConstructionState,
-                        rounds: int | None = None) -> list[PairWitness]:
+                        rounds: int | None = None) -> PairCertificate:
     """Witness a separating vertex for every pair of length-K sign words.
 
     For words first differing at bit k the witness lives in F_{k+1} and is
-    moved by phi_k; its images under the two words must differ.  The caller
-    should check that every one of the C(2^K, 2) pairs got a witness with
-    distinct images.  Each word's image of each witness is computed once.
+    moved by phi_k; its images under the two words must differ.  Each
+    word's image of each witness is computed once, into a lazy
+    ``PairCertificate`` of the C(2^K, 2) pairs; the caller should check
+    that its ``witnessed()`` count covers every pair.
     """
     K = state.rounds_completed if rounds is None else rounds
     if K < 1 or K > state.rounds_completed:
@@ -318,17 +371,7 @@ def verify_distinctness(state: ConstructionState,
     words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
     images = [[None if v is None else _forward(state.phis, bits, K - 1, v)
                for v in movers] for bits in words]
-    out: list[PairWitness] = []
-    for ia, wa in enumerate(words):
-        for ib in range(ia + 1, len(words)):
-            diff = ia ^ ib  # word bit i is bit i of the index
-            k = (diff & -diff).bit_length() - 1
-            v = movers[k]
-            if v is None:
-                continue  # no witness: caller's pair count check will fail
-            out.append(PairWitness(wa, words[ib], k, v, images[ia][k],
-                                   images[ib][k]))
-    return out
+    return PairCertificate(words, movers, images)
 
 
 def verify_finitary(state: ConstructionState, vertices: Sequence[int],

@@ -197,3 +197,37 @@ def ultrametric_violations_by_fractions(e, triples, dist):
                 "d_ac": str(dac), "d_ab": str(dab), "d_bc": str(dbc),
             })
     return violations
+
+
+def pair_witnesses_by_pairs(state, K):
+    """Every pair of length-K sign words, listed one PairWitness at a time.
+
+    For words first differing at bit k the witness is the least vertex of
+    F_{k+1} moved by phi_k, with its images under both words; pairs whose
+    level has no such vertex get no witness.  Words are ordered by the
+    integer whose bit i is the word's bit i, pairs as (ia, ib), ia < ib.
+    """
+    from halinkit.limitsim import PairWitness
+
+    def forward(bits, v):
+        for i in range(K - 1, -1, -1):
+            if bits[i]:
+                v = state.phis[i](v)
+        return v
+
+    movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
+                  default=None) for k in range(K)]
+    words = [tuple((m >> i) & 1 for i in range(K)) for m in range(2 ** K)]
+    images = [[None if v is None else forward(bits, v) for v in movers]
+              for bits in words]
+    out = []
+    for ia, wa in enumerate(words):
+        for ib in range(ia + 1, len(words)):
+            diff = ia ^ ib  # word bit i is bit i of the index
+            k = (diff & -diff).bit_length() - 1
+            v = movers[k]
+            if v is None:
+                continue
+            out.append(PairWitness(wa, words[ib], k, v, images[ia][k],
+                                   images[ib][k]))
+    return out

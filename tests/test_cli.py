@@ -129,6 +129,17 @@ class TestLimitSim:
                                            "witnessed": 523776}
         assert results["inverse_consistency"] is True
 
+    def test_comb_k12_at_the_budget_edge(self, capsys):
+        # C(4096, 2) = 8386560 pairs, under the default budget of 10^7;
+        # counted from the lazy certificate, no pair object is built
+        code, out, _ = run_cli(capsys, "limit-sim", "--family", "comb",
+                               "--depth", "26", "--k", "12")
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["distinctness"] == {"pairs": 8386560,
+                                           "witnessed": 8386560}
+        assert results["inverse_consistency"] is True
+
     @pytest.mark.parametrize("budget, code", [("27", 4), ("28", 0)])
     def test_pair_budget(self, capsys, monkeypatch, budget, code):
         # K = 3 has C(8, 2) = 28 pairs
@@ -192,6 +203,16 @@ class TestTopology:
             "--exhaustion", "0,1|0,1,2", "--triples", "-3")
         assert code == 2 and out == ""
         assert "--triples" in err
+
+    @pytest.mark.parametrize("image", ["[1.0,0]", "[null,0]", "5",
+                                       "[true,false]"])
+    def test_non_integer_pair_exit2(self, capsys, image):
+        # [true,false] would pass as the swap of 0 and 1: bool is an int
+        code, out, err = run_cli(
+            capsys, "topology", "--family", "path", "--n", "2",
+            "--exhaustion", "0|0,1", "--pair", image, "[0,1]")
+        assert code == 2 and out == ""
+        assert "bad permutation pair" in err
 
     ULTRAMETRIC = ("topology", "--family", "cycle", "--n", "8",
                    "--exhaustion", "0,1|0,1,2,3", "--triples")

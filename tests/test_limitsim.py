@@ -1,11 +1,17 @@
+import random
+from collections.abc import Sequence
+
 import pytest
 
-from halinkit.graphs import binary_tree, comb
-from halinkit.limitsim import (ConstructionState, EpsilonWord, PairWitness,
-                               alpha, alpha_inverse_perm, alpha_perm,
-                               depth_budget, fixing_oracle, run_construction,
-                               verify_distinctness, verify_finitary)
+from halinkit.graphs import binary_tree, comb, make_family
+from halinkit.limitsim import (ConstructionState, EpsilonWord, PairCertificate,
+                               PairWitness, alpha, alpha_inverse_perm,
+                               alpha_perm, depth_budget, fixing_oracle,
+                               run_construction, verify_distinctness,
+                               verify_finitary)
 from halinkit.perms import Permutation
+
+from oracles import pair_witnesses_by_pairs
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +228,62 @@ class TestDistinctness:
                                        if st.phis[k](v) != v)
                 assert w.image_a == perms[w.word_a](w.vertex)
                 assert w.image_b == perms[w.word_b](w.vertex)
+
+
+def _hand_built_state(seed, K):
+    """Random phis and F_k on 7 points, which need not be automorphisms or
+    nested sets, so images collide; phi_idle fixes all of F_{idle+1}."""
+    rng = random.Random(seed)
+    family = binary_tree(2)
+    n = family.graph.n
+    fsets = [frozenset(rng.sample(range(n), rng.randint(1, 4)))
+             for _ in range(K + 1)]
+    idle = rng.randrange(K)
+    phis = []
+    for k in range(K):
+        movable = [v for v in range(n) if k != idle or v not in fsets[k + 1]]
+        images = list(range(n))
+        for v, w in zip(movable, rng.sample(movable, len(movable))):
+            images[v] = w
+        phis.append(Permutation(images))
+    return ConstructionState(family, tuple(fsets), tuple(phis),
+                             tuple(range(K)), K)
+
+
+class TestPairCertificate:
+    @pytest.mark.parametrize("kind", ["binary-tree", "comb"])
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_matches_pair_by_pair_oracle(self, kind, K):
+        st = run_construction(make_family(kind, depth=depth_budget(kind, K)),
+                              K)
+        cert = verify_distinctness(st, K)
+        expected = pair_witnesses_by_pairs(st, K)
+        assert isinstance(cert, PairCertificate)
+        assert isinstance(cert, Sequence) and not isinstance(cert, list)
+        assert list(cert) == expected
+        assert len(cert) == len(expected) == 2 ** K * (2 ** K - 1) // 2
+        assert cert[0] == expected[0] and cert[-1] == expected[-1]
+        assert cert.witnessed() == len(expected)
+
+    def test_witnessed_counts_collisions_and_idle_levels(self):
+        short, idle_levels = 0, 0
+        for seed in range(40):
+            K = 1 + seed % 5
+            st = _hand_built_state(seed, K)
+            cert = verify_distinctness(st)
+            expected = pair_witnesses_by_pairs(st, K)
+            assert list(cert) == expected and len(cert) == len(expected)
+            witnessed = sum(w.image_a != w.image_b for w in expected)
+            assert cert.witnessed() == witnessed
+            short += witnessed < len(expected)
+            idle_levels += len(expected) < 2 ** K * (2 ** K - 1) // 2
+        assert short > 10 and idle_levels > 10  # both cases are exercised
+
+    def test_items_are_pair_witnesses(self, tree12_k3):
+        cert = verify_distinctness(tree12_k3, 3)
+        assert all(type(w) is PairWitness for w in cert)
+        assert all(type(cert[i]) is PairWitness for i in range(len(cert)))
+        assert list(cert) == list(cert)  # iterable more than once
 
 
 class TestInverseConsistency:
