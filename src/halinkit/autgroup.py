@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .graphs import Graph
 from .groups import PermGroup
@@ -99,54 +99,69 @@ def refine(g: Graph, partition: ColoredPartition) -> ColoredPartition | None:
 
     Counts each queued splitter's neighbours and splits every touched cell
     by count, ascending; its subcells are queued, but for the first largest
-    if the cell was not.  Positions and counts decide everything, so the
-    result is label-invariant.  None if the trace leaves ``expected``.
+    if the cell was not.  A singleton splitter's neighbours all count 1, so
+    its neighbour set is the count.  Positions and counts decide everything,
+    so the result is label-invariant.  None if the trace leaves
+    ``expected``; each split is checked before it moves a vertex.
     """
     if partition.n != g.n:
         raise ValueError("partition does not match the graph")
     p = partition._copy()
     lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
     expected, queue, p.pending = p.expected, deque(p.pending), []
-    while queue and p.ncells < len(lab):
+    queued, n = set(queue), len(lab)  # the starts in the queue
+    while queue and p.ncells < n:
         s = queue.popleft()
-        counts: dict[int, int] = {}
-        for u in lab[s:end[s]]:
-            for w in g.neighbors(u):
-                counts[w] = counts.get(w, 0) + 1
-        touched: dict[int, list[int]] = {}
+        queued.discard(s)
+        single = end[s] == s + 1
+        if single:
+            counts = g.neighbors(lab[s])
+        else:
+            counts = {}
+            for u in lab[s:end[s]]:
+                for w in g.neighbors(u):
+                    counts[w] = counts.get(w, 0) + 1
+        touched = {}
         for w in counts:
             touched.setdefault(cell[w], []).append(w)
         for c in sorted(touched):
-            e = end[c]
-            members = sorted(touched[c], key=counts.__getitem__)
-            keys = [counts[w] for w in members]
-            if len(members) == e - c and keys[0] == keys[-1]:
-                continue
-            # touched vertices go to the tail, the untouched form subcell 0
-            tail = e - len(members)
-            stay = [w for w in lab[tail:e] if w not in counts]
-            for w, x in zip([w for w in members if pos[w] < tail], stay):
-                lab[pos[w]], pos[x] = x, pos[w]
-            lab[tail:e] = members
-            for i, w in enumerate(members, tail):
-                pos[w] = i
-            starts = [c] * (tail > c) + [
-                i for i in range(tail, e)
-                if i == tail or keys[i - tail] != keys[i - tail - 1]]
-            event = (s, c, tuple(keys))
-            k = len(trace)
-            if expected is not None and expected[k:k + 1] != [event]:
+            members, e = touched[c], end[c]
+            if single:
+                if len(members) == e - c:
+                    continue
+                keys = (1,) * len(members)
+            else:
+                members.sort(key=counts.__getitem__)
+                keys = tuple(map(counts.__getitem__, members))
+                if len(members) == e - c and keys[0] == keys[-1]:
+                    continue
+            event, k = (s, c, keys), len(trace)
+            if expected is not None and (k == len(expected)
+                                         or expected[k] != event):
                 return None
             trace.append(event)
-            bounds = starts[1:] + [e]
-            for a, b in zip(starts, bounds):
+            # touched vertices go to the tail in key order; each untouched
+            # one there fills the place of the next touched one before it
+            tail = j = e - len(members)
+            starts, last = [c] * (tail > c), None
+            for i, w, key in zip(count(tail), members, keys):
+                if key != last:
+                    starts.append(i)
+                    last = key
+                if pos[w] < tail:
+                    while lab[j] in counts:
+                        j += 1
+                    lab[pos[w]], pos[lab[j]] = lab[j], pos[w]
+                    j += 1
+                pos[w], cell[w] = i, starts[-1]
+            lab[tail:e] = members
+            for a, b in zip(starts, starts[1:] + [e]):
                 end[a] = b
-                for w in lab[a:b] if a != c else ():
-                    cell[w] = a
             p.ncells += len(starts) - 1
-            big = max(zip(starts, bounds), key=lambda ab: ab[1] - ab[0])[0]
-            skip = c if c in queue else big
-            queue.extend(a for a in starts if a != skip)
+            starts.remove(c if c in queued else
+                          max(starts, key=lambda a: end[a] - a))
+            queue.extend(starts)
+            queued.update(starts)
     return p if expected is None or len(trace) == len(expected) else None
 
 
@@ -161,7 +176,7 @@ def automorphism_group(g: Graph) -> PermGroup:
     first_path: list[int] = []
     first_traces: list[list] = []
     targets: list[int] = []
-    first_leaf: list[int] | None = None
+    first_leaf: list[int] | None = None  # the first leaf's pos
 
     def search(part: ColoredPartition, path: tuple[int, ...],
                on_first: bool) -> bool:
@@ -170,9 +185,9 @@ def automorphism_group(g: Graph) -> PermGroup:
         nonlocal first_leaf
         if part.is_discrete:
             if first_leaf is None:
-                first_leaf = part.lab
+                first_leaf = part.pos
                 return False
-            images = [b for _, b in sorted(zip(first_leaf, part.lab))]
+            images = list(map(part.lab.__getitem__, first_leaf))
             # each leaf is visited once, so no automorphism is found twice
             if not g.is_automorphism(images):
                 return False

@@ -105,11 +105,12 @@ def is_distinguishing(group: PermGroup, points: Iterable[int]) -> bool:
     return group.set_stabilizer_is_trivial(points)
 
 
-def _least_subset(group: PermGroup, pred, budget: int
+def _least_subset(group: PermGroup, pred, budget: int, largest: int
                   ) -> tuple[int, tuple[int, ...]] | None:
-    """The first base in size-ascending lexicographic order that also
-    satisfies ``pred(group, subset)`` if given, with its size; (0, ()) for
-    the trivial group and None if no subset does.
+    """The first base of at most ``largest`` points in size-ascending
+    lexicographic order that also satisfies ``pred(group, subset)`` if
+    given, with its size; (0, ()) for the trivial group and None if no
+    such subset does.
 
     Depth-first over the k-subsets with H the pointwise stabilizer of the
     prefix S; S + {x} is a base iff |x^H| = |H|.  Only the least point x of
@@ -135,7 +136,7 @@ def _least_subset(group: PermGroup, pred, budget: int
             elif len(orbit) == h.order():
                 yield prefix + (x,)
 
-    for k in range(1, group.degree + 1):
+    for k in range(1, largest + 1):
         for subset in bases(group, (), k):
             if pred is None or pred(group, subset):
                 return k, subset
@@ -151,7 +152,7 @@ def determining_number(
     faithful action, so the search terminates with a witness.  Returns
     (0, ()) for the trivial group.
     """
-    return _least_subset(group, None, budget)
+    return _least_subset(group, None, budget, group.degree)
 
 
 def distinguishing_cost(
@@ -159,10 +160,11 @@ def distinguishing_cost(
         budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, tuple[int, ...]] | None:
     """Minimum distinguishing-set size with witness, or None if none exists.
 
-    Nonexistence (every subset has a nontrivial setwise stabilizer, as in
-    complete graphs) is reported only after the search covers every size.
+    S and its complement have the same setwise stabilizer, so a least
+    distinguishing set has at most n/2 points, and nonexistence (as in
+    complete graphs) is reported once the search covers those sizes.
     """
-    return _least_subset(group, is_distinguishing, budget)
+    return _least_subset(group, is_distinguishing, budget, group.degree // 2)
 
 
 def motion_of(p: Permutation) -> int:

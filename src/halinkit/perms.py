@@ -16,8 +16,8 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
+        imgs = tuple(images)  # of type int exactly: no bools, floats, None
+        if set(map(type, imgs)) - {int} or sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         self.images = imgs
 

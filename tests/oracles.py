@@ -1,8 +1,9 @@
 """Brute-force oracles, deliberately independent of the library's machinery.
 
-Everything here works on raw image tuples and explicit enumeration of
+The brute-force ones work on raw image tuples and explicit enumeration of
 Sym(n); nothing routes through the BSGS, the IR search, or the backtracking
-stabilizers it is meant to check.
+stabilizers it is meant to check.  The ``*_by_*`` functions are the plain
+forms of faster library code, kept as references for differential tests.
 """
 
 from itertools import combinations, permutations
@@ -231,3 +232,58 @@ def pair_witnesses_by_pairs(state, K):
             out.append(PairWitness(wa, words[ib], k, v, images[ia][k],
                                    images[ib][k]))
     return out
+
+
+def refine_by_counts(g, partition):
+    """Equitable refinement as a counts dict and a sorted member list per
+    touched cell, for every splitter alike; each split's trace event is
+    compared with ``partition.expected`` after its vertices have moved.
+    Same results as ``halinkit.autgroup.refine``, including the Nones."""
+    from collections import deque
+
+    if partition.n != g.n:
+        raise ValueError("partition does not match the graph")
+    p = partition._copy()
+    lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
+    expected, queue, p.pending = p.expected, deque(p.pending), []
+    while queue and p.ncells < len(lab):
+        s = queue.popleft()
+        counts = {}
+        for u in lab[s:end[s]]:
+            for w in g.neighbors(u):
+                counts[w] = counts.get(w, 0) + 1
+        touched = {}
+        for w in counts:
+            touched.setdefault(cell[w], []).append(w)
+        for c in sorted(touched):
+            e = end[c]
+            members = sorted(touched[c], key=counts.__getitem__)
+            keys = [counts[w] for w in members]
+            if len(members) == e - c and keys[0] == keys[-1]:
+                continue
+            # touched vertices go to the tail, the untouched form subcell 0
+            tail = e - len(members)
+            stay = [w for w in lab[tail:e] if w not in counts]
+            for w, x in zip([w for w in members if pos[w] < tail], stay):
+                lab[pos[w]], pos[x] = x, pos[w]
+            lab[tail:e] = members
+            for i, w in enumerate(members, tail):
+                pos[w] = i
+            starts = [c] * (tail > c) + [
+                i for i in range(tail, e)
+                if i == tail or keys[i - tail] != keys[i - tail - 1]]
+            event = (s, c, tuple(keys))
+            k = len(trace)
+            if expected is not None and expected[k:k + 1] != [event]:
+                return None
+            trace.append(event)
+            bounds = starts[1:] + [e]
+            for a, b in zip(starts, bounds):
+                end[a] = b
+                for w in lab[a:b] if a != c else ():
+                    cell[w] = a
+            p.ncells += len(starts) - 1
+            big = max(zip(starts, bounds), key=lambda ab: ab[1] - ab[0])[0]
+            skip = c if c in queue else big
+            queue.extend(a for a in starts if a != skip)
+    return p if expected is None or len(trace) == len(expected) else None

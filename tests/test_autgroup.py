@@ -10,7 +10,7 @@ from halinkit.perms import Permutation
 
 from corpus import hypercube, random_regular
 from oracles import (brute_automorphisms, coarsest_equitable,
-                     networkx_automorphisms)
+                     networkx_automorphisms, refine_by_counts)
 
 
 def planted(n, transpositions, rng):
@@ -97,6 +97,83 @@ class TestRefine:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             ColoredPartition([(0, 1), (1, 2)])
+
+
+def refined_state(p):
+    return None if p is None else (p.lab, p.pos, p.cell, p.end, p.ncells,
+                                   p.trace, p.pending)
+
+
+def oracle_graphs(rng):
+    """Seeded random graphs of every density, regular graphs, and a few
+    with isolated vertices or one vertex."""
+    out = [path(1), Graph(5, [(0, 1)]), petersen(), comb(4).graph]
+    for _ in range(60):
+        n = rng.randrange(2, 40)
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        out.append(Graph(n, [(i, j) for i in range(n)
+                             for j in range(i + 1, n) if rng.random() < p]))
+    for n, d in [(20, 3), (30, 3), (40, 4), (24, 5)]:
+        out.append(random_regular(n, d, rng))
+    return out
+
+
+class TestRefineMatchesCountsOracle:
+    """refine against refine_by_counts, which counts every splitter in a
+    dict: the same lab, pos, cell, end, ncells and trace, and None in the
+    same places."""
+
+    def check(self, g, part):
+        got = refine(g, part)
+        assert refined_state(got) == refined_state(refine_by_counts(g, part))
+        return got
+
+    def test_random_starting_partitions(self):
+        rng = random.Random(12)
+        for g in oracle_graphs(rng):
+            for ncolors in (1, 2, 3, 5):
+                labels = [rng.randrange(ncolors) for _ in range(g.n)]
+                self.check(g, ColoredPartition(
+                    [[v for v in range(g.n) if labels[v] == k]
+                     for k in range(ncolors)]))
+
+    def test_individualized_children(self):
+        rng = random.Random(13)
+        for g in oracle_graphs(rng):
+            q = self.check(g, ColoredPartition.unit(g.n))
+            for _ in range(4):  # down a random path of the search tree
+                cells = [s for s in set(q.cell) if q.end[s] - s > 1]
+                if not cells:
+                    break
+                s = rng.choice(sorted(cells))
+                for v in q.lab[s:q.end[s]]:
+                    self.check(g, q._individualize(v, None))
+                q = refine(g, q._individualize(rng.choice(q.lab[s:q.end[s]]),
+                                               None))
+
+    def test_expected_traces(self):
+        rng = random.Random(14)
+        nones = 0
+        for g in oracle_graphs(rng):
+            q = refine(g, ColoredPartition.unit(g.n))
+            cells = [s for s in set(q.cell) if q.end[s] - s > 1]
+            if not cells:
+                continue
+            s = min(cells, key=lambda a: (a - q.end[a], a))
+            first = refine(g, q._individualize(q.lab[s], None)).trace
+            variants = [first, first[:-1], first[:len(first) // 2],
+                        first + [first[-1]] if first else [(0, 0, (1,))]]
+            if first:  # one event differs: its splitter, cell or keys
+                i = rng.randrange(len(first))
+                a, c, keys = first[i]
+                for bad in [(a + 1, c, keys), (a, c + 1, keys),
+                            (a, c, keys + (1,)), (a, c, keys[:-1] + (9,))]:
+                    variants.append(first[:i] + [bad] + first[i + 1:])
+            for v in q.lab[s:q.end[s]]:  # siblings, as the search sees them
+                for expected in variants:
+                    nones += self.check(
+                        g, q._individualize(v, expected)) is None
+        assert nones > 0
 
 
 class TestAutomorphismGroup:

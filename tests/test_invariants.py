@@ -13,7 +13,7 @@ from halinkit.perms import Permutation
 from halinkit.groups import PermGroup
 
 from conftest import dihedral
-from corpus import hypercube
+from corpus import hypercube, small_corpus
 from oracles import (brute_automorphisms, brute_determining_number,
                      brute_distinguishing_cost, brute_motion,
                      longest_subgroup_chain, networkx_automorphisms)
@@ -142,6 +142,17 @@ class TestDistinguishingCost:
             elems = networkx_automorphisms(g)
             assert distinguishing_cost(aut(g)) == cost == \
                 brute_distinguishing_cost(elems, g.n)
+
+    def test_least_set_is_at_most_half(self):
+        # S and V - S have one setwise stabilizer, so the search stops
+        # after size n // 2; the brute-force oracle searches every size
+        for name, g in small_corpus():
+            elems = brute_automorphisms(g)
+            want = brute_distinguishing_cost(elems, g.n)
+            assert want is None or (
+                brute_determining_number(elems, g.n)[0] <= want[0]
+                <= g.n // 2), name
+            assert distinguishing_cost(aut(g)) == want, name
 
 
 class TestMotion:

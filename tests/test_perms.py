@@ -27,6 +27,16 @@ def test_not_a_permutation():
         Permutation([0, 2])
 
 
+@pytest.mark.parametrize("images", [
+    [True, False], [False, True], [0, True],
+    [1.0, 0], [0.0], [0, 1, 2.0],
+    [None, 0], [None],
+])
+def test_non_int_images_rejected(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
 def test_composition_is_right_to_left():
     # (a * b)(x) = a(b(x)): b first
     a = Permutation([1, 2, 0])   # 0->1->2->0
