@@ -18,6 +18,7 @@ import platform
 import random
 import sys
 import time
+from collections.abc import Iterable
 
 from . import __version__
 from .autgroup import automorphism_group
@@ -280,31 +281,49 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
         raise InputError(f"bad exhaustion: {exc}") from exc
 
 
+def _letters(rng: random.Random, m: int, n: int) -> Iterable[int]:
+    """At least n letters ``rng.randrange(m)``, drawn as CPython 3.10-3.13
+    draws them: the first ``getrandbits(k)`` below m, k = m.bit_length(),
+    the top k bits of a 32-bit Mersenne Twister word.  For k <= 8 one
+    ``getrandbits(32 * w)`` gives w <= 2^20 words, the first drawn least
+    significant, and one ``translate`` shifts their top bytes and drops
+    those >= m.  Wider letters are drawn one at a time, endlessly."""
+    k = m.bit_length()
+    if k > 8:
+        return filter(m.__gt__, map(rng.getrandbits, itertools.repeat(k)))
+    shift, letters = bytes(v >> (8 - k) for v in range(256)), bytearray()
+    while len(letters) < n:  # a word gives a letter with odds m / 2^k >= 1/2
+        w = min(2 * (n - len(letters)) + 64, 1 << 20)
+        top = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
+        letters += top.translate(shift, bytes(range(m << (8 - k), 256)))
+    return letters
+
+
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
     """Seeded words of 12 generators (identity if none), as products p * g.
 
-    Letters are ``rng.randrange(m)``, drawn as CPython 3.10-3.13 draws them
-    (the first ``getrandbits(m.bit_length())`` below m) by one C iterator,
-    b at a time: b is the largest of 1, 2, 3, 4, 6 with m^b <= max(m, 16),
-    and each block is one precomputed gather of its product.
+    The letters of :func:`_letters` are read b at a time, b the largest of
+    1, 2, 3, 6 with m^b <= max(m, 64) table entries (m = 2: b = 6).  A word
+    starts at its first block's image tuple and applies each further block
+    as one precomputed gather: at m = 2, one gather a sample.
     """
     gens = group.generators or [Permutation.identity(group.degree)]
     gathers, m = [g.gather() for g in gens], len(gens)
-    identity = tuple(range(group.degree))
 
-    def compose(letters) -> tuple[int, ...]:
-        images = identity
-        for gather in letters:
+    def compose(images, rest) -> tuple[int, ...]:
+        for gather in rest:
             images = gather(images)
         return images
 
-    b = max(b for b in (1, 2, 3, 4, 6) if m ** b <= max(m, 16))
-    table = {block: Permutation._raw(compose(map(gathers.__getitem__, block))).gather()
-             for block in itertools.product(range(m), repeat=b)}
-    rng = random.Random(seed)
-    draws = filter(m.__gt__, map(rng.getrandbits, itertools.repeat(m.bit_length())))
-    words = zip(*[map(table.__getitem__, zip(*[draws] * b))] * (12 // b))
-    return [Permutation._raw(compose(word)) for word in itertools.islice(words, count)]
+    b = max(b for b in (1, 2, 3, 6) if m ** b <= max(m, 64))
+    products = {block: compose(gens[block[0]].images, map(gathers.__getitem__, block[1:]))
+                for block in itertools.product(range(m), repeat=b)}
+    table = {block: Permutation._raw(im).gather() for block, im in products.items()}
+    blocks = zip(*[iter(_letters(random.Random(seed), m, 12 * count))] * b)
+    words = zip(map(products.__getitem__, blocks),  # one stream: first block, rest
+                zip(*[map(table.__getitem__, blocks)] * (12 // b - 1)))
+    return list(map(Permutation._raw, itertools.starmap(
+        compose, itertools.islice(words, count))))
 
 
 def _parse_images(raw: str) -> list[int]:

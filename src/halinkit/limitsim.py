@@ -357,10 +357,10 @@ def verify_distinctness(state: ConstructionState,
     """Witness a separating vertex for every pair of length-K sign words.
 
     For words first differing at bit k the witness lives in F_{k+1} and is
-    moved by phi_k; its images under the two words must differ.  Each
-    word's image of each witness is computed once, into a lazy
-    ``PairCertificate`` of the C(2^K, 2) pairs; the caller should check
-    that its ``witnessed()`` count covers every pair.
+    moved by phi_k; its images under the two words must differ.  The
+    rounds after k fix F_{k+1}, so a level's column repeats 2^(k+1) images;
+    it goes into a lazy ``PairCertificate`` of the C(2^K, 2) pairs, whose
+    ``witnessed()`` count the caller should check covers every pair.
     """
     K = state.rounds_completed if rounds is None else rounds
     if K < 1 or K > state.rounds_completed:
@@ -369,9 +369,12 @@ def verify_distinctness(state: ConstructionState,
     movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
                   default=None) for k in range(K)]
     words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
-    images = [[None if v is None else _forward(state.phis, bits, K - 1, v)
-               for v in movers] for bits in words]
-    return PairCertificate(words, movers, images)
+    columns = []
+    for v in movers:  # rounds h.. fix v, so its images repeat with period 2^h
+        h = 0 if v is None else 1 + max(j for j in range(K) if state.phis[j](v) != v)
+        columns.append([None if v is None else _forward(state.phis, words[i], h - 1, v)
+                        for i in range(2 ** h)] * 2 ** (K - h))
+    return PairCertificate(words, movers, [list(row) for row in zip(*columns)])
 
 
 def verify_finitary(state: ConstructionState, vertices: Sequence[int],

@@ -58,17 +58,12 @@ class Exhaustion:
         return f"Exhaustion(degree={self.degree}, sets={len(self.sets)}, covers={self.covers})"
 
 
-def _check_degrees(e: Exhaustion, *perms: Permutation) -> None:
-    for p in perms:
-        if p.degree != e.degree:
-            raise ValueError("permutation does not act on the exhaustion's domain")
-
-
 def confluent(e: Exhaustion, a: Permutation, b: Permutation) -> int | None:
     """Least index i with a disagreement inside X_i; None if none exists.
 
     That is the first layer whose gathers (a scalar for one point) differ."""
-    _check_degrees(e, a, b)
+    if len(a.images) != e.degree or len(b.images) != e.degree:
+        raise ValueError("permutation does not act on the exhaustion's domain")
     for i, layer in enumerate(e._layers):
         if layer(a.images) != layer(b.images):
             return i
@@ -98,12 +93,10 @@ def check_ultrametric(
     triple and the three distances.  The test runs on confluents, as
     d = 2^(-conf), with None ("equal on all") above every index.
     """
-    top = len(e.sets)
     violations = []
     for a, b, c in triples:
-        ac, ab, bc = (top if x is None else x for x in (
-            confluent(e, a, c), confluent(e, a, b), confluent(e, b, c)))
-        if ac < min(ab, bc):
+        ac, ab, bc = confluent(e, a, c), confluent(e, a, b), confluent(e, b, c)
+        if ac is not None and (ab is None or ac < ab) and (bc is None or ac < bc):
             violations.append({
                 "triple": [list(a.images), list(b.images), list(c.images)],
                 "d_ac": str(dist(e, a, c)), "d_ab": str(dist(e, a, b)),

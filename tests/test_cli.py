@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import pytest
 
 import halinkit
 from halinkit.autgroup import automorphism_group
-from halinkit.cli import _sample_elements, main
+from halinkit.cli import _letters, _sample_elements, main
 from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
                              encode_graph6, path, petersen, to_json)
+from halinkit.groups import PermGroup
+from halinkit.perms import Permutation
 
 from oracles import sample_words_by_products
 
@@ -252,13 +256,69 @@ class TestTopology:
                     sample_words_by_products(group, count, seed)
 
     def test_sampler_graphs_cover_every_block_length(self):
-        # m generators are read in blocks of b letters, m^b <= max(m, 16):
-        # m = 1 -> b = 6, m = 2 -> 4, m = 3, 4 -> 2, m >= 5 -> 1; the draws
-        # of m = 3, 5, 31 (2, 3, 5 bits) reject some values, and m = 0 has
-        # only the identity to draw
+        # m generators are read in blocks of b letters, m^b <= max(m, 64):
+        # m = 1, 2 -> b = 6, m = 3, 4 -> 3, m = 5 -> 2, m = 31 -> 1 (b = 2
+        # for m up to 8, b = 1 from m = 9 on); the draws of m = 3, 5, 31
+        # (2, 3, 5 bits) reject some values, and m = 0 has only the
+        # identity to draw
         counts = {len(automorphism_group(g).generators)
                   for g in self.SAMPLER_GRAPHS}
         assert counts == {0, 1, 2, 3, 4, 5, 31}
+
+    @pytest.mark.parametrize("m", [6, 8, 9, 64, 65, 255, 256, 300])
+    def test_sampler_matches_product_oracle_on_many_generators(self, m):
+        # b = 2 for m = 6, 8 and b = 1 above; from m = 256 on a letter has
+        # 9 or more bits and is drawn one at a time
+        rng = random.Random(m)
+        degree = 10
+        gens = [Permutation(rng.sample(range(degree), degree))
+                for _ in range(m)]
+        group = PermGroup(degree, gens)
+        for seed in (0, 7):
+            for count in (0, 1, 31):
+                assert _sample_elements(group, count, seed) == \
+                    sample_words_by_products(group, count, seed)
+
+
+class TestBulkLetterDraws:
+    """The sampler reads its letters off bulk Mersenne Twister draws; these
+    pin the CPython behaviour that makes them equal ``rng.randrange``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    @pytest.mark.parametrize("w", [1, 3, 64])
+    def test_wide_draw_is_consecutive_words_least_significant_first(
+            self, seed, w):
+        wide, narrow = random.Random(seed), random.Random(seed)
+        bits = wide.getrandbits(32 * w)
+        assert [(bits >> (32 * i)) & 0xFFFFFFFF for i in range(w)] == \
+            [narrow.getrandbits(32) for _ in range(w)]
+        assert wide.getrandbits(32) == narrow.getrandbits(32)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    def test_narrow_draw_is_top_bits_of_one_word(self, seed):
+        for k in range(1, 33):
+            short, word = random.Random(seed + k), random.Random(seed + k)
+            assert [short.getrandbits(k) for _ in range(20)] == \
+                [word.getrandbits(32) >> (32 - k) for _ in range(20)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 17, 31, 128, 255, 256, 300])
+    def test_letters_equal_randrange(self, m):
+        calls = 0
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                nonlocal calls
+                calls += 1
+                return super().getrandbits(k)
+
+        for seed in range(6):
+            rng, reference = Counting(seed), random.Random(seed)
+            letters = iter(_letters(rng, m, 3000))
+            assert list(itertools.islice(letters, 3000)) == \
+                [reference.randrange(m) for _ in range(3000)]
+        if m < 256:  # one bulk draw a seed, and more where it falls short,
+            # which only odds m / 2^k = 1/2 make likely
+            assert 6 < calls < 12 if m & (m - 1) == 0 else calls == 6
 
 
 class TestParserReuse:

@@ -265,6 +265,20 @@ class TestPairCertificate:
         assert cert[0] == expected[0] and cert[-1] == expected[-1]
         assert cert.witnessed() == len(expected)
 
+    @pytest.mark.parametrize("kind", ["binary-tree", "comb"])
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_images_match_all_rounds_table(self, kind, K):
+        # each level's column is read off the rounds up to its own; the
+        # full product of all K rounds must give the same table
+        st = run_construction(make_family(kind, depth=depth_budget(kind, K)),
+                              K)
+        cert = verify_distinctness(st, K)
+        words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
+        perms = [alpha_perm(st, w) for w in words]
+        assert cert.words == words
+        assert cert.images == [[None if v is None else p(v)
+                                for v in cert.movers] for p in perms]
+
     def test_witnessed_counts_collisions_and_idle_levels(self):
         short, idle_levels = 0, 0
         for seed in range(40):
