@@ -94,7 +94,8 @@ class ColoredPartition:
         return f"ColoredPartition({[list(c) for c in self.cells]})"
 
 
-def refine(g: Graph, partition: ColoredPartition) -> ColoredPartition | None:
+def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
+           ) -> ColoredPartition | None:
     """Coarsest equitable refinement of the partition, as a new partition.
 
     Counts each queued splitter's neighbours and splits every touched cell
@@ -102,11 +103,13 @@ def refine(g: Graph, partition: ColoredPartition) -> ColoredPartition | None:
     if the cell was not.  A singleton splitter's neighbours all count 1, so
     its neighbour set is the count.  Positions and counts decide everything,
     so the result is label-invariant.  None if the trace leaves
-    ``expected``; each split is checked before it moves a vertex.
+    ``expected``; each split is checked before it moves a vertex.  The
+    search hands over each fresh child with ``_owned=True``, refined in
+    place instead of copied.
     """
     if partition.n != g.n:
         raise ValueError("partition does not match the graph")
-    p = partition._copy()
+    p = partition if _owned else partition._copy()
     lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
     expected, queue, p.pending = p.expected, deque(p.pending), []
     queued, n = set(queue), len(lab)  # the starts in the queue
@@ -217,7 +220,7 @@ def automorphism_group(g: Graph) -> PermGroup:
             last = [v]
             extends = first_leaf is None
             child = refine(g, part._individualize(
-                v, None if extends else first_traces[depth]))
+                v, None if extends else first_traces[depth]), _owned=True)
             if child is None:
                 continue
             if extends:

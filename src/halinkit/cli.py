@@ -260,12 +260,10 @@ def _cmd_limit_sim(args) -> tuple[dict, int]:
         seq = [alpha_perm(state, word.bits[:k + 1]) for k in range(args.k)]
         cauchy = [str(x) for x in check_cauchy(exhaustion, seq)]
         # alpha(w) * alpha^{-1}(w) telescopes to the phi_k * phi_k^{-1}
-        inverse_ok = all((phi * phi.inverse()).is_identity()
-                         for phi in state.phis)
         results.update({
             "distinctness": {"pairs": pairs, "witnessed": witnessed},
             "cauchy_table": cauchy,
-            "inverse_consistency": inverse_ok,
+            "inverse_consistency": state.inverse_consistency(),
         })
     return _report("limit-sim", _echo(args), family.graph, results,
                    started), code
@@ -303,9 +301,11 @@ def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutatio
     """Seeded words of 12 generators (identity if none), as products p * g.
 
     The letters of :func:`_letters` are read b at a time, b the largest of
-    1, 2, 3, 6 with m^b <= max(m, 64) table entries (m = 2: b = 6).  A word
-    starts at its first block's image tuple and applies each further block
-    as one precomputed gather: at m = 2, one gather a sample.
+    1, 2, 3, 6 with m^b <= max(m, 64) table entries (m = 2: b = 6), each
+    block one precomputed gather of its product.  A group of at most count
+    elements is sampled by :func:`_cayley_walk`; a larger one composes
+    each word from its first block's image tuple, one gather per further
+    block: at m = 2, one gather a sample.
     """
     gens = group.generators or [Permutation.identity(group.degree)]
     gathers, m = [g.gather() for g in gens], len(gens)
@@ -319,11 +319,50 @@ def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutatio
     products = {block: compose(gens[block[0]].images, map(gathers.__getitem__, block[1:]))
                 for block in itertools.product(range(m), repeat=b)}
     table = {block: Permutation._raw(im).gather() for block, im in products.items()}
-    blocks = zip(*[iter(_letters(random.Random(seed), m, 12 * count))] * b)
+    letters = _letters(random.Random(seed), m, 12 * count)
+    if group.order() <= count:
+        return _cayley_walk(products, table, letters, b, count)
+    blocks = zip(*[iter(letters)] * b)
     words = zip(map(products.__getitem__, blocks),  # one stream: first block, rest
                 zip(*[map(table.__getitem__, blocks)] * (12 // b - 1)))
     return list(map(Permutation._raw, itertools.starmap(
         compose, itertools.islice(words, count))))
+
+
+def _cayley_walk(products: dict, table: dict, letters: Iterable[int], b: int,
+                 count: int) -> list[Permutation]:
+    """The samples of :func:`_sample_elements` as walks on a Cayley table
+    of the blocks, built as the walks first need each step.
+
+    Each distinct element is one index (its images interned once, one
+    ``Permutation`` each) and each step (element, *block) -> element is
+    composed once, on first use; the words walk column by column, block j
+    of every word read off the letters ``b*j + t::12``, in C-level maps.
+    Equal samples are one object.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    elements: list[Permutation] = []
+
+    def intern(images: tuple[int, ...]) -> int:
+        i = index.setdefault(images, len(elements))  # one hash of images
+        if i == len(elements):
+            elements.append(Permutation._raw(images))
+        return i
+
+    class Steps(dict):
+        def __missing__(self, key: tuple[int, ...]) -> int:
+            self[key] = step = intern(table[key[1:]](elements[key[0]].images))
+            return step
+
+    if not isinstance(letters, bytearray):  # letters of 9 or more bits
+        letters = list(itertools.islice(letters, 12 * count))
+    columns = [letters[t:12 * count:12] for t in range(12)]
+    first = {block: intern(images) for block, images in products.items()}
+    states = map(first.__getitem__, zip(*columns[:b]))
+    steps = Steps()
+    for j in range(b, 12, b):
+        states = map(steps.__getitem__, zip(states, *columns[j:j + b]))
+    return list(map(elements.__getitem__, states))
 
 
 def _parse_images(raw: str) -> list[int]:
@@ -370,8 +409,7 @@ def _cmd_topology(args) -> tuple[dict, int]:
                 f"ultrametric check needs {3 * args.triples} samples, budget {budget}")
         group = automorphism_group(g)
         sample = _sample_elements(group, 3 * args.triples, args.seed)
-        triples = [tuple(sample[3 * i:3 * i + 3]) for i in range(args.triples)]
-        violations = check_ultrametric(exhaustion, triples)
+        violations = check_ultrametric(exhaustion, zip(*[iter(sample)] * 3))
         results["ultrametric"] = {"triples": args.triples,
                                   "violations": violations}
     return _report("topology", _echo(args), g, results, started), EXIT_OK

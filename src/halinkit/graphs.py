@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -125,7 +126,7 @@ class TruncatedFamily:
         if labels is None:
             raise ValueError("truncated family graph must carry depth labels")
         at_depth = frozenset(
-            v for v, lab in enumerate(labels) if lab == str(self.depth))
+            compress(count(), map(str(self.depth).__eq__, labels)))
         if at_depth != self.boundary:
             raise ValueError("boundary must be exactly the depth-D vertices")
 
@@ -134,14 +135,10 @@ def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously for n=0)."""
     if g.n <= 1:
         return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen, frontier = {0}, {0}
+    while frontier:  # breadth first, one set union per level
+        frontier = set().union(*map(g.neighbors, frontier)) - seen
+        seen |= frontier
     return len(seen) == g.n
 
 
@@ -334,9 +331,11 @@ def binary_tree(depth: int) -> TruncatedFamily:
     if depth < 1:
         raise ValueError("binary tree needs depth >= 1")
     n = 2 ** (depth + 1) - 1
-    edges = [(v, c) for v in range(n)
-             for c in (2 * v + 1, 2 * v + 2) if c < n]
-    labels = [str((v + 1).bit_length() - 1) for v in range(n)]
+    # child c >= 1 hangs off (c - 1) // 2; depth d holds 2^d vertices
+    parents = chain.from_iterable(map(repeat, range(n // 2), repeat(2)))
+    edges = zip(parents, range(1, n))
+    labels = chain.from_iterable(
+        repeat(str(d), 2 ** d) for d in range(depth + 1))
     g = Graph(n, edges, labels)
     boundary = frozenset(range(2 ** depth - 1, n))
     return TruncatedFamily("binary-tree", depth, g, boundary)

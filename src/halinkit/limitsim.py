@@ -65,7 +65,7 @@ class ConstructionState:
     rounds: the closure after the last round is recorded so distinctness
     witnesses for the final sign bit are available).  ``requested`` is the
     round count asked for; fewer completed rounds mean the truncation was
-    exhausted.
+    exhausted.  ``inverses`` are the phi_k^{-1} the preimage closures used.
     """
 
     family: TruncatedFamily
@@ -73,6 +73,7 @@ class ConstructionState:
     phis: tuple[Permutation, ...]
     xs: tuple[int, ...]
     requested: int
+    inverses: tuple[Permutation, ...] = ()
 
     @property
     def rounds_completed(self) -> int:
@@ -94,6 +95,13 @@ class ConstructionState:
     def rounds(self) -> list[tuple[frozenset[int], Permutation, int]]:
         return [(self.fsets[k], self.phis[k], self.xs[k])
                 for k in range(self.rounds_completed)]
+
+    def inverse_consistency(self) -> bool:
+        """phi_k * phi_k^{-1} is the identity for every round, with the
+        stored inverses; False if the state does not hold one per round."""
+        return len(self.inverses) == len(self.phis) and all(
+            (phi * inv).is_identity()
+            for phi, inv in zip(self.phis, self.inverses))
 
     def exhaustion(self) -> Exhaustion:
         """The nested F_k as an exhaustion of the truncated graph's vertices."""
@@ -151,17 +159,15 @@ def _tree_subtree_avoids(u: int, fixed: frozenset[int], depth: int) -> bool:
 
 
 def _tree_swap(u: int, n: int) -> Permutation:
-    """Exchange the two child subtrees of u, pairing mirrored positions."""
+    """Exchange the two child subtrees of u in a complete tree of n
+    vertices: level by level, the left child's range [a, a + w) and the
+    right child's [a + w, a + 2w) trade places as two slices."""
     images = list(range(n))
-    pairs = [(2 * u + 1, 2 * u + 2)]
-    while pairs:
-        a, b = pairs.pop()
-        if a >= n or b >= n:
-            continue
-        images[a] = b
-        images[b] = a
-        pairs.append((2 * a + 1, 2 * b + 1))
-        pairs.append((2 * a + 2, 2 * b + 2))
+    a, w = 2 * u + 1, 1
+    while a + 2 * w <= n:
+        images[a:a + w], images[a + w:a + 2 * w] = \
+            range(a + w, a + 2 * w), range(a, a + w)
+        a, w = 2 * a + 1, 2 * w
     return Permutation(images)
 
 
@@ -225,7 +231,9 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
         phi = fixing_oracle(family, current)
         if phi is None:
             break
-        x_k = min(phi.support())
+        x_k = next((v for v, w in enumerate(phi.images) if v != w), None)
+        if x_k is None:
+            raise ValueError(f"round {k}'s automorphism fixes every point")
         v_next = k + 1
         if v_next >= n:
             break
@@ -239,7 +247,7 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
             preimages |= {inverses[i](v) for v in preimages}
         fsets.append(frozenset(images | preimages | {x_k, v_next}))
     return ConstructionState(family, tuple(fsets), tuple(phis), tuple(xs),
-                             rounds)
+                             rounds, tuple(inverses))
 
 
 def _forward(phis: Sequence[Permutation], bits: Sequence[int],

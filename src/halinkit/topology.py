@@ -91,12 +91,19 @@ def check_ultrametric(
 
     Returns the violations (expected empty); each violation records the
     triple and the three distances.  The test runs on confluents, as
-    d = 2^(-conf), with None ("equal on all") above every index.
+    d = 2^(-conf), with None ("equal on all") above every index; a triple
+    stops once conf(a, c) is None or conf(a, b) <= conf(a, c) rules it out.
     """
     violations = []
     for a, b, c in triples:
-        ac, ab, bc = confluent(e, a, c), confluent(e, a, b), confluent(e, b, c)
-        if ac is not None and (ab is None or ac < ab) and (bc is None or ac < bc):
+        ac = confluent(e, a, c)
+        if ac is None:
+            continue
+        ab = confluent(e, a, b)
+        if ab is not None and ab <= ac:
+            continue
+        bc = confluent(e, b, c)
+        if bc is None or ac < bc:
             violations.append({
                 "triple": [list(a.images), list(b.images), list(c.images)],
                 "d_ac": str(dist(e, a, c)), "d_ab": str(dist(e, a, b)),

@@ -177,6 +177,25 @@ def sample_words_by_products(group, count, seed):
     return out
 
 
+def tree_swap_by_pairs(u, n):
+    """The binary-tree subtree swap under u as a loop over vertex pairs:
+    the children of u trade places, then each pair's left children and
+    right children, while both lie below n."""
+    from halinkit.perms import Permutation
+
+    images = list(range(n))
+    pairs = [(2 * u + 1, 2 * u + 2)]
+    while pairs:
+        a, b = pairs.pop()
+        if a >= n or b >= n:
+            continue
+        images[a] = b
+        images[b] = a
+        pairs.append((2 * a + 1, 2 * b + 1))
+        pairs.append((2 * a + 2, 2 * b + 2))
+    return Permutation(images)
+
+
 def confluent_by_points(e, a, b):
     """The confluent point by point: the least i with a(x) != b(x) for some
     x in X_i, or None when a and b agree on every set."""

@@ -76,6 +76,15 @@ class TestRefine:
                               for v in cell}
                     assert len(counts) == 1
 
+    def test_public_refine_copies_and_owned_refines_in_place(self):
+        g = petersen()
+        child = refine(g, ColoredPartition.unit(g.n))._individualize(0, None)
+        before = refined_state(child)
+        got = refine(g, child)
+        assert got is not child and refined_state(child) == before
+        owned = refine(g, child, _owned=True)
+        assert owned is child and refined_state(owned) == refined_state(got)
+
     def test_refines_input(self):
         g = cycle(6)
         start = ColoredPartition([(0, 1, 2), (3, 4, 5)])
@@ -249,6 +258,24 @@ class TestAutomorphismGroup:
     def test_large_families(self):
         assert automorphism_group(cycle(400)).order() == 800
         assert automorphism_group(binary_tree(6).graph).order() == 2 ** 63
+
+    def test_one_copy_per_refine(self, monkeypatch):
+        # _individualize copies each child, which refine then owns
+        import halinkit.autgroup as autgroup
+        calls = {"copy": 0, "refine": 0}
+        copy, refine_ = ColoredPartition._copy, autgroup.refine
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ColoredPartition, "_copy", counted("copy", copy))
+        monkeypatch.setattr(autgroup, "refine", counted("refine", refine_))
+        for g in (petersen(), cycle(12), binary_tree(4).graph, comb(5).graph):
+            automorphism_group(g)
+        assert calls["copy"] == calls["refine"] > 4
 
     def test_orbit_pruning_generator_counts(self):
         # the generator list is part of aut's output; weaker orbit pruning

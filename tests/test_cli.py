@@ -247,11 +247,14 @@ class TestTopology:
         "cycle7", "petersen", "binary-tree5", "path1", "path2", "K4", "K5",
         "K33"])
     def test_sampler_matches_product_oracle(self, graph):
+        # groups of order <= count are sampled by the Cayley-table walk:
+        # path1, path2, cycle7 and K4 from count 30 on, the Petersen
+        # graph, K5 and K3,3 (orders 120, 120, 72) at count 200
         group = automorphism_group(graph)
         for seed in (0, 7, 123456):
             assert _sample_elements(group, 30, seed) == \
                 sample_words_by_products(group, 30, seed)
-            for count in (0, 1, 31):
+            for count in (0, 1, 31, 200):
                 assert _sample_elements(group, count, seed) == \
                     sample_words_by_products(group, count, seed)
 
@@ -278,6 +281,22 @@ class TestTopology:
             for count in (0, 1, 31):
                 assert _sample_elements(group, count, seed) == \
                     sample_words_by_products(group, count, seed)
+
+    @pytest.mark.parametrize("m", [100, 256, 300])
+    def test_sampler_walk_on_many_redundant_generators(self, m):
+        # a group of order 6 (Sym({0, 1, 2}) on 5 points), small enough
+        # for the walk, in blocks of b = 1 letter; from m = 256 on the
+        # letters have 9 bits and are drawn one at a time
+        rng = random.Random(m)
+        small = [Permutation(list(p) + [3, 4])
+                 for p in itertools.permutations(range(3))]
+        group = PermGroup(5, [rng.choice(small) for _ in range(m)])
+        assert group.order() == 6
+        for seed in (0, 7):
+            for count in (6, 31, 200):
+                sample = _sample_elements(group, count, seed)
+                assert sample == sample_words_by_products(group, count, seed)
+                assert len({id(p) for p in sample}) == len(set(sample))
 
 
 class TestBulkLetterDraws:

@@ -1,17 +1,19 @@
+import dataclasses
 import random
 from collections.abc import Sequence
 
 import pytest
 
 from halinkit.graphs import binary_tree, comb, make_family
+import halinkit.limitsim as limitsim
 from halinkit.limitsim import (ConstructionState, EpsilonWord, PairCertificate,
-                               PairWitness, alpha, alpha_inverse_perm,
-                               alpha_perm, depth_budget, fixing_oracle,
-                               run_construction, verify_distinctness,
-                               verify_finitary)
+                               PairWitness, _tree_swap, alpha,
+                               alpha_inverse_perm, alpha_perm, depth_budget,
+                               fixing_oracle, run_construction,
+                               verify_distinctness, verify_finitary)
 from halinkit.perms import Permutation
 
-from oracles import pair_witnesses_by_pairs
+from oracles import pair_witnesses_by_pairs, tree_swap_by_pairs
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,12 @@ class TestFixingOracle:
         fam = binary_tree(2)
         with pytest.raises(ValueError, match="boundary"):
             fixing_oracle(fam, {0, 3})
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_tree_swap_matches_pair_loop(self, depth):
+        n = binary_tree(depth).graph.n
+        for u in range(2 ** depth - 1):  # every vertex with children
+            assert _tree_swap(u, n) == tree_swap_by_pairs(u, n)
 
     def test_comb_leaf_swap(self):
         fam = comb(4)
@@ -123,6 +131,32 @@ class TestRunConstruction:
         for k in range(4):
             assert all(st.phis[k](v) == v for v in st.fsets[k])
             assert k in st.fsets[k]
+
+    def test_x_k_is_the_least_moved_point(self):
+        for st in (run_construction(binary_tree(10), 8),
+                   run_construction(comb(18), 8)):
+            assert st.xs == tuple(min(phi.support()) for phi in st.phis)
+
+    def test_round_fixing_every_point_rejected(self, monkeypatch):
+        monkeypatch.setattr(limitsim, "fixing_oracle",
+                            lambda family, fixed: Permutation.identity(
+                                family.graph.n))
+        with pytest.raises(ValueError, match="fixes every point"):
+            run_construction(binary_tree(4), 2)
+
+    def test_stores_the_inverses_of_its_rounds(self, tree12_k3):
+        st = tree12_k3
+        assert st.inverses == tuple(phi.inverse() for phi in st.phis)
+        assert st.inverse_consistency()
+
+    def test_inverse_consistency_needs_one_true_inverse_per_round(self):
+        st = _hand_built_state(5, 4)
+        assert st.inverses == () and not st.inverse_consistency()
+        inverses = tuple(phi.inverse() for phi in st.phis)
+        assert dataclasses.replace(st, inverses=inverses).inverse_consistency()
+        for bad in (inverses[:-1], inverses[1:] + inverses[:1]):
+            assert not dataclasses.replace(
+                st, inverses=bad).inverse_consistency()
 
 
 class TestDepthBudget:
