@@ -104,8 +104,8 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
     its neighbour set is the count.  Positions and counts decide everything,
     so the result is label-invariant.  None if the trace leaves
     ``expected``; each split is checked before it moves a vertex.  The
-    search hands over each fresh child with ``_owned=True``, refined in
-    place instead of copied.
+    search hands over its root and each fresh child with ``_owned=True``,
+    refined in place instead of copied.
     """
     if partition.n != g.n:
         raise ValueError("partition does not match the graph")
@@ -230,5 +230,5 @@ def automorphism_group(g: Graph) -> PermGroup:
                 return True
         return False
 
-    search(refine(g, ColoredPartition.unit(n)), (), True)
+    search(refine(g, ColoredPartition.unit(n), _owned=True), (), True)
     return PermGroup.from_strong_generators(n, gens, first_path)

@@ -11,7 +11,7 @@ import pytest
 
 import halinkit
 from halinkit.autgroup import automorphism_group
-from halinkit.cli import _letters, _sample_elements, main
+from halinkit.cli import WALK_CUTOFF, _letters, _sample_elements, main
 from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
                              encode_graph6, path, petersen, to_json)
 from halinkit.groups import PermGroup
@@ -30,6 +30,11 @@ def payload(out):
     report = json.loads(out)
     report.pop("wall_time_ms")
     return report
+
+
+def walk_count(group):
+    """The least sample count at which the sampler walks a Cayley table."""
+    return -(-WALK_CUTOFF * group.order() // group.degree)
 
 
 class TestAut:
@@ -247,16 +252,23 @@ class TestTopology:
         "cycle7", "petersen", "binary-tree5", "path1", "path2", "K4", "K5",
         "K33"])
     def test_sampler_matches_product_oracle(self, graph):
-        # groups of order <= count are sampled by the Cayley-table walk:
-        # path1, path2, cycle7 and K4 from count 30 on, the Petersen
-        # graph, K5 and K3,3 (orders 120, 120, 72) at count 200
         group = automorphism_group(graph)
         for seed in (0, 7, 123456):
             assert _sample_elements(group, 30, seed) == \
                 sample_words_by_products(group, 30, seed)
-            for count in (0, 1, 31, 200):
+            for count in (0, 1, 31):
                 assert _sample_elements(group, count, seed) == \
                     sample_words_by_products(group, count, seed)
+        # the Cayley-table walk takes over at count * degree >= WALK_CUTOFF
+        # * order: from 512 samples on path1 and path2 up to 12,288 on K5;
+        # never on binary-tree5 (order 2^31)
+        walk_from = walk_count(group)
+        if walk_from <= 12288:
+            for count in (walk_from - 1, walk_from):
+                sample = _sample_elements(group, count, 5)
+                assert sample == sample_words_by_products(group, count, 5)
+                walked = len({id(p) for p in sample}) == len(set(sample))
+                assert walked == (count == walk_from)
 
     def test_sampler_graphs_cover_every_block_length(self):
         # m generators are read in blocks of b letters, m^b <= max(m, 64):
@@ -284,16 +296,16 @@ class TestTopology:
 
     @pytest.mark.parametrize("m", [100, 256, 300])
     def test_sampler_walk_on_many_redundant_generators(self, m):
-        # a group of order 6 (Sym({0, 1, 2}) on 5 points), small enough
-        # for the walk, in blocks of b = 1 letter; from m = 256 on the
+        # a group of order 6 (Sym({0, 1, 2}) on 5 points), walked from
+        # 615 samples on, in blocks of b = 1 letter; from m = 256 on the
         # letters have 9 bits and are drawn one at a time
         rng = random.Random(m)
         small = [Permutation(list(p) + [3, 4])
                  for p in itertools.permutations(range(3))]
         group = PermGroup(5, [rng.choice(small) for _ in range(m)])
-        assert group.order() == 6
+        assert group.order() == 6 and walk_count(group) == 615
         for seed in (0, 7):
-            for count in (6, 31, 200):
+            for count in (615, 1000):
                 sample = _sample_elements(group, count, seed)
                 assert sample == sample_words_by_products(group, count, seed)
                 assert len({id(p) for p in sample}) == len(set(sample))
