@@ -11,7 +11,8 @@ where alpha_k^eps = phi_0^{eps_0} o ... o phi_k^{eps_k} ranges over all sign
 words eps of length k+1 (rightmost factor applied first) and v_{k+1} is the
 enumeration vertex k+1.  The union over all words is built without listing
 them: S <- S + phi_i(S) for i = k..0 gives the images, and
-T <- T + phi_i^{-1}(T) for i = 0..k the preimages.  The 2^K words of
+T <- T + phi_i^{-1}(T) for i = 0..k the preimages, where phi_i^{-1} =
+phi_i because every fixing automorphism here is a swap.  The 2^K words of
 length K then evaluate to 2^K pairwise distinct vertex maps, which the
 verification helpers certify mechanically: ``verify_distinctness`` returns
 a lazy ``PairCertificate`` whose ``witnessed()`` counts the distinct-image
@@ -65,7 +66,7 @@ class ConstructionState:
     rounds: the closure after the last round is recorded so distinctness
     witnesses for the final sign bit are available).  ``requested`` is the
     round count asked for; fewer completed rounds mean the truncation was
-    exhausted.  ``inverses`` are the phi_k^{-1} the preimage closures used.
+    exhausted.
     """
 
     family: TruncatedFamily
@@ -73,7 +74,6 @@ class ConstructionState:
     phis: tuple[Permutation, ...]
     xs: tuple[int, ...]
     requested: int
-    inverses: tuple[Permutation, ...] = ()
 
     @property
     def rounds_completed(self) -> int:
@@ -92,16 +92,10 @@ class ConstructionState:
             m += 1
         return m
 
-    def rounds(self) -> list[tuple[frozenset[int], Permutation, int]]:
-        return [(self.fsets[k], self.phis[k], self.xs[k])
-                for k in range(self.rounds_completed)]
-
     def inverse_consistency(self) -> bool:
-        """phi_k * phi_k^{-1} is the identity for every round, with the
-        stored inverses; False if the state does not hold one per round."""
-        return len(self.inverses) == len(self.phis) and all(
-            (phi * inv).is_identity()
-            for phi, inv in zip(self.phis, self.inverses))
+        """phi_k * phi_k is the identity for every round: each phi_k is
+        its own inverse, as the preimage closures assume."""
+        return all((phi * phi).is_identity() for phi in self.phis)
 
     def exhaustion(self) -> Exhaustion:
         """The nested F_k as an exhaustion of the truncated graph's vertices."""
@@ -142,22 +136,6 @@ def depth_budget(kind: str, rounds: int) -> int:
 # structurally (no group computation).
 # ---------------------------------------------------------------------------
 
-def _tree_depth(v: int) -> int:
-    return (v + 1).bit_length() - 1
-
-
-def _tree_subtree_avoids(u: int, fixed: frozenset[int], depth: int) -> bool:
-    # f lies under u iff u is an ancestor-or-self of f
-    du = _tree_depth(u)
-    for f in fixed:
-        anc = f
-        while _tree_depth(anc) > du:
-            anc = (anc - 1) // 2
-        if anc == u:
-            return False
-    return True
-
-
 def _tree_swap(u: int, n: int) -> Permutation:
     """Exchange the two child subtrees of u in a complete tree of n
     vertices: level by level, the left child's range [a, a + w) and the
@@ -176,9 +154,11 @@ def fixing_oracle(family: TruncatedFamily,
     """A nontrivial automorphism fixing the given interior set, or None.
 
     For the binary tree: swap the child subtrees of the shallowest vertex
-    (least index among equals) whose subtree avoids the set.  For the comb:
-    swap the first pendant leaf pair disjoint from the set.  None means the
-    truncation depth has no swap site left ("exhausted").
+    (least index among equals) whose subtree avoids the set, i.e. the
+    least interior index that is no member's ancestor-or-self.  For the
+    comb: swap the first pendant leaf pair disjoint from the set.  Both
+    swaps are involutions.  None means the truncation depth has no swap
+    site left ("exhausted").
     """
     fset = frozenset(fixed)
     n = family.graph.n
@@ -187,12 +167,14 @@ def fixing_oracle(family: TruncatedFamily,
     if fset & family.boundary:
         raise ValueError("fixed set touches the truncation boundary")
     if family.kind == "binary-tree":
-        for u in range(n):
-            if _tree_depth(u) >= family.depth:
-                break  # leaves and beyond: no children to swap
-            if _tree_subtree_avoids(u, fset, family.depth):
-                return _tree_swap(u, n)
-        return None
+        marked: set[int] = set()  # ancestors-or-self of the members
+        for v in fset:
+            while v >= 0 and v not in marked:  # the root's parent is -1
+                marked.add(v)
+                v = (v - 1) // 2
+        u = next((u for u in range(2 ** family.depth - 1)  # interior
+                  if u not in marked), None)
+        return None if u is None else _tree_swap(u, n)
     if family.kind == "comb":
         for i in range(family.depth):
             leaves = (3 * i + 2, 3 * i + 3)
@@ -222,7 +204,6 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
     n = family.graph.n
     fsets: list[frozenset[int]] = [frozenset({0})]
     phis: list[Permutation] = []
-    inverses: list[Permutation] = []
     xs: list[int] = []
     for k in range(rounds):
         current = fsets[-1]
@@ -238,16 +219,15 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
         if v_next >= n:
             break
         phis.append(phi)
-        inverses.append(phi.inverse())
         xs.append(x_k)
         images, preimages = set(current), set(current)
         for i in range(k, -1, -1):
             images |= {phis[i](v) for v in images}
         for i in range(k + 1):
-            preimages |= {inverses[i](v) for v in preimages}
+            preimages |= {phis[i](v) for v in preimages}  # phi_i^{-1}
         fsets.append(frozenset(images | preimages | {x_k, v_next}))
     return ConstructionState(family, tuple(fsets), tuple(phis), tuple(xs),
-                             rounds, tuple(inverses))
+                             rounds)
 
 
 def _forward(phis: Sequence[Permutation], bits: Sequence[int],
@@ -266,7 +246,7 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
     (which holds 0..len(word)), whose members are fixed by every later
     round's automorphism, so the value can no longer change.
     """
-    bits = word.bits if isinstance(word, EpsilonWord) else tuple(word)
+    bits = tuple(word)
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError(
@@ -281,7 +261,7 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
 def alpha_perm(state: ConstructionState,
                word: EpsilonWord | Sequence[int]) -> Permutation:
     """Materialize alpha_k^eps as a full permutation of the truncated graph."""
-    bits = word.bits if isinstance(word, EpsilonWord) else tuple(word)
+    bits = tuple(word)
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError("not enough rounds for the word")
@@ -393,7 +373,7 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
     alpha_m^eps must agree for every m in (N, R); R is limited by both the
     completed rounds and the word length.
     """
-    bits = word.bits if isinstance(word, EpsilonWord) else tuple(word)
+    bits = tuple(word)
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)
     if N + 1 >= R:

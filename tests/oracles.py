@@ -196,6 +196,25 @@ def tree_swap_by_pairs(u, n):
     return Permutation(images)
 
 
+def tree_swap_site_by_scan(fixed, depth):
+    """The binary-tree oracle's swap site by a scan: the first interior
+    vertex u (index order) such that no member of fixed lies in u's
+    subtree, found by walking each member up to u's depth; None if every
+    interior vertex is blocked."""
+    def level(v):
+        return (v + 1).bit_length() - 1
+
+    for u in range(2 ** depth - 1):
+        for f in fixed:
+            while level(f) > level(u):
+                f = (f - 1) // 2
+            if f == u:
+                break
+        else:
+            return u
+    return None
+
+
 def confluent_by_points(e, a, b):
     """The confluent point by point: the least i with a(x) != b(x) for some
     x in X_i, or None when a and b agree on every set."""

@@ -421,6 +421,25 @@ class TestInputChannels:
         assert code == 2 and out == ""
         assert "bad JSON graph" in err
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff",
+        '{"n": 2, "edges": [[0, 1]], "labels": ["\u00e9", "b"]}'.encode(),
+    ], ids=["non-ascii-byte", "utf8-json-label"])
+    def test_undecodable_file_exit2(self, capsys, tmp_path, raw):
+        source = tmp_path / "g.in"
+        source.write_bytes(raw)
+        code, out, err = run_cli(capsys, "aut", "--input", str(source))
+        assert code == 2 and out == ""
+        assert err.startswith("halinkit: input error: cannot read")
+
+    def test_undecodable_stdin_exit2(self, capsys, monkeypatch):
+        # as sys.stdin reads under PYTHONIOENCODING=utf-8:strict
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff"), encoding="utf-8", errors="strict"))
+        code, out, err = run_cli(capsys, "aut", "--input", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("halinkit: input error: cannot read -")
+
     @pytest.mark.parametrize("via", ["file", "stdin"])
     def test_graph6_n60(self, capsys, monkeypatch, tmp_path, via):
         # the graph6 size byte of a 60-vertex graph is chr(60 + 63) == "{"

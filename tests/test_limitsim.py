@@ -13,7 +13,8 @@ from halinkit.limitsim import (ConstructionState, EpsilonWord, PairCertificate,
                                verify_distinctness, verify_finitary)
 from halinkit.perms import Permutation
 
-from oracles import pair_witnesses_by_pairs, tree_swap_by_pairs
+from oracles import (pair_witnesses_by_pairs, tree_swap_by_pairs,
+                     tree_swap_site_by_scan)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,22 @@ class TestFixingOracle:
     def test_tree_swap_matches_pair_loop(self, depth):
         n = binary_tree(depth).graph.n
         for u in range(2 ** depth - 1):  # every vertex with children
-            assert _tree_swap(u, n) == tree_swap_by_pairs(u, n)
+            swap = _tree_swap(u, n)
+            assert swap == tree_swap_by_pairs(u, n)
+            assert (swap * swap).is_identity()
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_tree_oracle_matches_site_scan(self, depth):
+        fam = binary_tree(depth)
+        n, interior = fam.graph.n, range(2 ** depth - 1)
+        rng = random.Random(depth)
+        for _ in range(100):
+            size = rng.randint(0, min(len(interior), rng.choice(
+                (2, 2 * depth, 2 ** depth))))
+            fixed = set(rng.sample(interior, size))
+            u = tree_swap_site_by_scan(fixed, depth)
+            expected = None if u is None else _tree_swap(u, n)
+            assert fixing_oracle(fam, fixed) == expected
 
     def test_comb_leaf_swap(self):
         fam = comb(4)
@@ -74,12 +90,14 @@ class TestFixingOracle:
         assert phi(2) == 3 and phi(3) == 2
         assert phi.num_moved() == 2
         assert fam.graph.is_automorphism(phi.images)
+        assert (phi * phi).is_identity()
 
     def test_comb_skips_blocked_sites(self):
         fam = comb(4)
         phi = fixing_oracle(fam, {2, 5})  # first two leaf pairs blocked
         assert phi is not None
         assert phi(8) == 9
+        assert (phi * phi).is_identity()
 
 
 class TestRunConstruction:
@@ -144,19 +162,22 @@ class TestRunConstruction:
         with pytest.raises(ValueError, match="fixes every point"):
             run_construction(binary_tree(4), 2)
 
-    def test_stores_the_inverses_of_its_rounds(self, tree12_k3):
-        st = tree12_k3
-        assert st.inverses == tuple(phi.inverse() for phi in st.phis)
-        assert st.inverse_consistency()
-
-    def test_inverse_consistency_needs_one_true_inverse_per_round(self):
+    def test_inverse_consistency_checks_every_round_is_an_involution(self):
+        for kind in ("binary-tree", "comb"):
+            for K in range(1, 9):
+                st = run_construction(
+                    make_family(kind, depth=depth_budget(kind, K)), K)
+                assert st.rounds_completed == K and st.inverse_consistency()
         st = _hand_built_state(5, 4)
-        assert st.inverses == () and not st.inverse_consistency()
-        inverses = tuple(phi.inverse() for phi in st.phis)
-        assert dataclasses.replace(st, inverses=inverses).inverse_consistency()
-        for bad in (inverses[:-1], inverses[1:] + inverses[:1]):
-            assert not dataclasses.replace(
-                st, inverses=bad).inverse_consistency()
+        assert not all((phi * phi).is_identity() for phi in st.phis)
+        assert not st.inverse_consistency()
+        swaps = []  # each phi's first moved point exchanged with its image
+        for phi in st.phis:
+            v = min(phi.support())
+            images = list(range(len(phi.images)))
+            images[v], images[phi(v)] = phi(v), v
+            swaps.append(Permutation(images))
+        assert dataclasses.replace(st, phis=tuple(swaps)).inverse_consistency()
 
 
 class TestDepthBudget:
