@@ -18,7 +18,7 @@ import platform
 import random
 import sys
 import time
-from collections.abc import Sequence
+from operator import itemgetter
 
 from . import __version__
 from .autgroup import automorphism_group
@@ -276,101 +276,29 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
         raise InputError(f"bad exhaustion: {exc}") from exc
 
 
-def _letters(rng: random.Random, m: int, n: int) -> Sequence[int]:
-    """At least n letters ``rng.randrange(m)``, drawn as CPython 3.10-3.13
-    draws them: the first ``getrandbits(k)`` below m, k = m.bit_length(),
-    the top k bits of a 32-bit Mersenne Twister word.  For k <= 8 one
-    ``getrandbits(32 * w)`` gives w <= 2^20 words, the first drawn least
-    significant, and one ``translate`` shifts their top bytes and drops
-    those >= m.  Wider letters are drawn one at a time, exactly n."""
-    k = m.bit_length()
-    if k > 8:
-        return list(itertools.islice(filter(
-            m.__gt__, map(rng.getrandbits, itertools.repeat(k))), n))
-    shift, letters = bytes(v >> (8 - k) for v in range(256)), bytearray()
-    while len(letters) < n:  # a word gives a letter with odds m / 2^k >= 1/2
-        w = min(2 * (n - len(letters)) + 64, 1 << 20)
-        top = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
-        letters += top.translate(shift, bytes(range(m << (8 - k), 256)))
-    return letters
-
-
-# The walk pays a gather and a hash of `degree` images per distinct step
-# and saves one gather per sample and step, so it wins once the samples
-# outnumber the group's elements by enough.  Timed against the gathers
-# (process_time, medians of interleaved calls, Python 3.11, 2-vCPU VM) at
-# count * degree = c * order: for c = 128 the walk took 0.63-1.19 of the
-# gathers' time, for c = 256 0.55-1.05 and for c = 512 0.65-0.88, on C_n
-# for n = 6 to 64, K4, K5, K6 and the Petersen graph.  K8 at 3,000
-# samples (c = 0.6) took 10.5 ms walked against 6.2 ms gathered.
-WALK_CUTOFF = 512
-
-
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
-    """Seeded words of 12 generators (identity if none), as products p * g.
-
-    The letters of :func:`_letters` are read b at a time, b the largest of
-    1, 2, 3, 6 with m^b <= max(m, 64) table entries (m = 2: b = 6), each
-    block one precomputed gather of its product.  Each word is composed
-    from its first block's image tuple, one gather per further block (at
-    m = 2, one gather a sample), unless count * degree >= WALK_CUTOFF *
-    order: then :func:`_cayley_walk` trades those gathers for table
-    lookups.
+    """``count`` seeded, uniformly random group elements: for each draw
+    r = ``randrange(|G|)``, element r of :meth:`PermGroup.elements`, built
+    from r's mixed-radix digits on first use with one gather per chain
+    level whose digit is not the base point.  Equal draws share one object.
     """
-    gens = group.generators or [Permutation.identity(group.degree)]
-    gathers, m = [g.gather() for g in gens], len(gens)
+    chain = group.chain()
+    levels = [(t, b, sorted(t)) for t, b in zip(chain.transversals, chain.base)]
+    levels.reverse()  # least significant digit first
 
-    def compose(images, rest) -> tuple[int, ...]:
-        for gather in rest:
-            images = gather(images)
-        return images
+    class Elements(dict):
+        def __missing__(self, r: int) -> Permutation:
+            images, rest = tuple(range(group.degree)), r
+            for t, b, orbit in levels:  # images <- u_j * images
+                rest, digit = divmod(rest, len(orbit))
+                if orbit[digit] != b:  # so degree >= 2: itemgetter gives a tuple
+                    images = itemgetter(*images)(t[orbit[digit]].images)
+            self[r] = element = Permutation._raw(images)
+            return element
 
-    b = max(b for b in (1, 2, 3, 6) if m ** b <= max(m, 64))
-    products = {block: compose(gens[block[0]].images, map(gathers.__getitem__, block[1:]))
-                for block in itertools.product(range(m), repeat=b)}
-    table = {block: Permutation._raw(im).gather() for block, im in products.items()}
-    letters = _letters(random.Random(seed), m, 12 * count)
-    if count * group.degree >= WALK_CUTOFF * group.order():
-        return _cayley_walk(products, table, letters, b, count)
-    blocks = zip(*[iter(letters)] * b)
-    words = zip(map(products.__getitem__, blocks),  # one stream: first block, rest
-                zip(*[map(table.__getitem__, blocks)] * (12 // b - 1)))
-    return list(map(Permutation._raw, itertools.starmap(
-        compose, itertools.islice(words, count))))
-
-
-def _cayley_walk(products: dict, table: dict, letters: Sequence[int], b: int,
-                 count: int) -> list[Permutation]:
-    """The samples of :func:`_sample_elements` as walks on a Cayley table
-    of the blocks, built as the walks first need each step.
-
-    Each distinct element is one index (its images interned once, one
-    ``Permutation`` each) and each step (element, *block) -> element is
-    composed once, on first use; the words walk column by column, block j
-    of every word read off the letters ``b*j + t::12``, in C-level maps.
-    Equal samples are one object.
-    """
-    index: dict[tuple[int, ...], int] = {}
-    elements: list[Permutation] = []
-
-    def intern(images: tuple[int, ...]) -> int:
-        i = index.setdefault(images, len(elements))  # one hash of images
-        if i == len(elements):
-            elements.append(Permutation._raw(images))
-        return i
-
-    class Steps(dict):
-        def __missing__(self, key: tuple[int, ...]) -> int:
-            self[key] = step = intern(table[key[1:]](elements[key[0]].images))
-            return step
-
-    columns = [letters[t:12 * count:12] for t in range(12)]
-    first = {block: intern(images) for block, images in products.items()}
-    states = map(first.__getitem__, zip(*columns[:b]))
-    steps = Steps()
-    for j in range(b, 12, b):
-        states = map(steps.__getitem__, zip(states, *columns[j:j + b]))
-    return list(map(elements.__getitem__, states))
+    rng = random.Random(seed)
+    draws = map(rng.randrange, itertools.repeat(chain.order(), count))
+    return list(map(Elements().__getitem__, draws))
 
 
 def _parse_images(raw: str) -> list[int]:
@@ -495,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"halinkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, ResourceLimitError) as exc:
+    except (BudgetExceededError, ResourceLimitError, RecursionError) as exc:
+        # RecursionError: a recursive search deeper than the stack limit
         print(f"halinkit: resource limit: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except ValueError as exc:

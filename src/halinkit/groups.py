@@ -225,7 +225,13 @@ class PermGroup:
         return out
 
     def elements(self, limit: int = 1_000_000) -> list[Permutation]:
-        """Every element exactly once; refuses when the order exceeds limit."""
+        """Every element exactly once; refuses when the order exceeds limit.
+
+        The order is a contract: element r is u_0 * ... * u_{l-1}, u_j the
+        transversal element of chain level j whose point sits at r's j-th
+        mixed-radix digit (level 0 most significant) in the level's sorted
+        orbit.  ``motion`` and the CLI's topology sampler rely on it.
+        """
         order = self.order()
         if order > limit:
             raise GroupTooLargeError(order, limit)

@@ -23,6 +23,7 @@ depth can host.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -356,7 +357,7 @@ def verify_distinctness(state: ConstructionState,
     # Least vertex of F_{k+1} moved by phi_k, per k (x_k guarantees existence).
     movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
                   default=None) for k in range(K)]
-    words = [EpsilonWord.from_int(m, K).bits for m in range(2 ** K)]
+    words = [w[::-1] for w in itertools.product((0, 1), repeat=K)]  # LSB first
     columns = []
     for v in movers:  # rounds h.. fix v, so its images repeat with period 2^h
         h = 0 if v is None else 1 + max(j for j in range(K) if state.phis[j](v) != v)

@@ -157,23 +157,37 @@ def coarsest_equitable(g, cells):
         cells = split
 
 
-def sample_words_by_products(group, count, seed):
-    """The topology sampler as full Permutation products: per sample, the
-    identity times 12 generators drawn by ``rng.randrange``, left to right
-    (identity samples when the group has no generators)."""
+def sample_by_listing(group, count, seed):
+    """The topology sampler by listing: element r of ``group.elements()``
+    for each draw r = ``Random(seed).randrange(order)``."""
     import random
+
+    listing = group.elements()
+    rng = random.Random(seed)
+    return [listing[rng.randrange(len(listing))] for _ in range(count)]
+
+
+def sample_by_products(group, count, seed):
+    """The topology sampler as full Permutation products, for groups too
+    large to list: element r of the listing is u_0 * ... * u_{l-1}, u_j the
+    transversal element at r's j-th mixed-radix digit (level 0 most
+    significant) in chain level j's sorted orbit."""
+    import random
+    from functools import reduce
+    from operator import mul
 
     from halinkit.perms import Permutation
 
+    chain = group.chain()
     rng = random.Random(seed)
-    gens = list(group.generators)
     out = []
     for _ in range(count):
-        p = Permutation.identity(group.degree)
-        if gens:
-            for _ in range(12):
-                p = p * gens[rng.randrange(len(gens))]
-        out.append(p)
+        r, factors = rng.randrange(chain.order()), []
+        for t in reversed(chain.transversals):
+            r, digit = divmod(r, len(t))
+            factors.append(t[sorted(t)[digit]])
+        out.append(reduce(mul, reversed(factors),
+                          Permutation.identity(group.degree)))
     return out
 
 

@@ -1,5 +1,5 @@
+import inspect
 import io
-import itertools
 import json
 import os
 import random
@@ -11,13 +11,13 @@ import pytest
 
 import halinkit
 from halinkit.autgroup import automorphism_group
-from halinkit.cli import WALK_CUTOFF, _letters, _sample_elements, main
+from halinkit.cli import _sample_elements, main
 from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
                              encode_graph6, path, petersen, to_json)
 from halinkit.groups import PermGroup
 from halinkit.perms import Permutation
 
-from oracles import sample_words_by_products
+from oracles import sample_by_listing, sample_by_products
 
 
 def run_cli(capsys, *argv):
@@ -30,11 +30,6 @@ def payload(out):
     report = json.loads(out)
     report.pop("wall_time_ms")
     return report
-
-
-def walk_count(group):
-    """The least sample count at which the sampler walks a Cayley table."""
-    return -(-WALK_CUTOFF * group.order() // group.degree)
 
 
 class TestAut:
@@ -54,6 +49,20 @@ class TestAut:
         code, out, err = run_cli(capsys, "aut", "--input", str(bad))
         assert code == 2
         assert "offset" in err
+
+    def test_search_deeper_than_the_recursion_limit_exit4(self, capsys):
+        # the search recurses once per first-path level; K_n has n - 1, so
+        # a lowered limit stands in for the default 1,000 and K_1100
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 150)
+        try:
+            code, out, err = run_cli(capsys, "aut", "--family", "complete",
+                                     "--n", "300")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 4 and out == ""
+        assert err.startswith(
+            "halinkit: resource limit: maximum recursion depth exceeded")
 
     def test_missing_input_exit2(self, capsys):
         code, _, err = run_cli(capsys, "aut")
@@ -245,111 +254,57 @@ class TestTopology:
         assert code == 2 and out == ""
         assert "HALINKIT_BUDGET" in err
 
-    SAMPLER_GRAPHS = [cycle(7), petersen(), binary_tree(5).graph, path(1),
-                      path(2), complete(4), complete(5), complete_bipartite(3, 3)]
+    SAMPLER_GRAPHS = {
+        "cycle7": cycle(7), "petersen": petersen(),
+        "binary-tree5": binary_tree(5).graph, "path1": path(1),
+        "path2": path(2), "K4": complete(4), "K5": complete(5),
+        "K33": complete_bipartite(3, 3)}
 
-    @pytest.mark.parametrize("graph", SAMPLER_GRAPHS, ids=[
-        "cycle7", "petersen", "binary-tree5", "path1", "path2", "K4", "K5",
-        "K33"])
-    def test_sampler_matches_product_oracle(self, graph):
-        group = automorphism_group(graph)
+    @staticmethod
+    def assert_sampler_matches(group, oracle, counts=(0, 1, 31, 1000)):
         for seed in (0, 7, 123456):
-            assert _sample_elements(group, 30, seed) == \
-                sample_words_by_products(group, 30, seed)
-            for count in (0, 1, 31):
-                assert _sample_elements(group, count, seed) == \
-                    sample_words_by_products(group, count, seed)
-        # the Cayley-table walk takes over at count * degree >= WALK_CUTOFF
-        # * order: from 512 samples on path1 and path2 up to 12,288 on K5;
-        # never on binary-tree5 (order 2^31)
-        walk_from = walk_count(group)
-        if walk_from <= 12288:
-            for count in (walk_from - 1, walk_from):
-                sample = _sample_elements(group, count, 5)
-                assert sample == sample_words_by_products(group, count, 5)
-                walked = len({id(p) for p in sample}) == len(set(sample))
-                assert walked == (count == walk_from)
+            for count in counts:
+                sample = _sample_elements(group, count, seed)
+                assert sample == oracle(group, count, seed)
+                assert sample == _sample_elements(group, count, seed)
 
-    def test_sampler_graphs_cover_every_block_length(self):
-        # m generators are read in blocks of b letters, m^b <= max(m, 64):
-        # m = 1, 2 -> b = 6, m = 3, 4 -> 3, m = 5 -> 2, m = 31 -> 1 (b = 2
-        # for m up to 8, b = 1 from m = 9 on); the draws of m = 3, 5, 31
-        # (2, 3, 5 bits) reject some values, and m = 0 has only the
-        # identity to draw
-        counts = {len(automorphism_group(g).generators)
-                  for g in self.SAMPLER_GRAPHS}
-        assert counts == {0, 1, 2, 3, 4, 5, 31}
+    @pytest.mark.parametrize("name", SAMPLER_GRAPHS)
+    def test_sampler_matches_product_oracle(self, name):
+        group = automorphism_group(self.SAMPLER_GRAPHS[name])
+        self.assert_sampler_matches(group, sample_by_products)
+        assert all(map(group.contains, _sample_elements(group, 1000, 1)))
+
+    @pytest.mark.parametrize("name", [  # binary-tree5: order 2^31
+        name for name in SAMPLER_GRAPHS if name != "binary-tree5"])
+    def test_sampler_matches_listing_oracle(self, name):
+        self.assert_sampler_matches(
+            automorphism_group(self.SAMPLER_GRAPHS[name]), sample_by_listing)
+
+    @pytest.mark.parametrize("m", [100, 256, 300])
+    def test_sampler_matches_listing_oracle_on_many_generators(self, m):
+        # m random generators of degree 6: Sym(6) or Alt(6), built by
+        # Schreier-Sims rather than read off the automorphism search
+        rng = random.Random(m)
+        group = PermGroup(6, [Permutation(rng.sample(range(6), 6))
+                              for _ in range(m)])
+        self.assert_sampler_matches(group, sample_by_listing)
 
     @pytest.mark.parametrize("m", [6, 8, 9, 64, 65, 255, 256, 300])
     def test_sampler_matches_product_oracle_on_many_generators(self, m):
-        # b = 2 for m = 6, 8 and b = 1 above; from m = 256 on a letter has
-        # 9 or more bits and is drawn one at a time
+        # degree 10: Sym(10) or Alt(10), more than a million elements
         rng = random.Random(m)
         degree = 10
         gens = [Permutation(rng.sample(range(degree), degree))
                 for _ in range(m)]
         group = PermGroup(degree, gens)
-        for seed in (0, 7):
-            for count in (0, 1, 31):
-                assert _sample_elements(group, count, seed) == \
-                    sample_words_by_products(group, count, seed)
+        self.assert_sampler_matches(group, sample_by_products, (0, 1, 31))
+        assert all(map(group.contains, _sample_elements(group, 1000, m)))
 
-    @pytest.mark.parametrize("m", [100, 256, 300])
-    def test_sampler_walk_on_many_redundant_generators(self, m):
-        # a group of order 6 (Sym({0, 1, 2}) on 5 points), walked from
-        # 615 samples on, in blocks of b = 1 letter; from m = 256 on the
-        # letters have 9 bits and are drawn one at a time
-        rng = random.Random(m)
-        small = [Permutation(list(p) + [3, 4])
-                 for p in itertools.permutations(range(3))]
-        group = PermGroup(5, [rng.choice(small) for _ in range(m)])
-        assert group.order() == 6 and walk_count(group) == 615
-        for seed in (0, 7):
-            for count in (615, 1000):
-                sample = _sample_elements(group, count, seed)
-                assert sample == sample_words_by_products(group, count, seed)
-                assert len({id(p) for p in sample}) == len(set(sample))
-
-
-class TestBulkLetterDraws:
-    """The sampler reads its letters off bulk Mersenne Twister draws; these
-    pin the CPython behaviour that makes them equal ``rng.randrange``."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 7919])
-    @pytest.mark.parametrize("w", [1, 3, 64])
-    def test_wide_draw_is_consecutive_words_least_significant_first(
-            self, seed, w):
-        wide, narrow = random.Random(seed), random.Random(seed)
-        bits = wide.getrandbits(32 * w)
-        assert [(bits >> (32 * i)) & 0xFFFFFFFF for i in range(w)] == \
-            [narrow.getrandbits(32) for _ in range(w)]
-        assert wide.getrandbits(32) == narrow.getrandbits(32)
-
-    @pytest.mark.parametrize("seed", [0, 1, 7919])
-    def test_narrow_draw_is_top_bits_of_one_word(self, seed):
-        for k in range(1, 33):
-            short, word = random.Random(seed + k), random.Random(seed + k)
-            assert [short.getrandbits(k) for _ in range(20)] == \
-                [word.getrandbits(32) >> (32 - k) for _ in range(20)]
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 17, 31, 128, 255, 256, 300])
-    def test_letters_equal_randrange(self, m):
-        calls = 0
-
-        class Counting(random.Random):
-            def getrandbits(self, k):
-                nonlocal calls
-                calls += 1
-                return super().getrandbits(k)
-
-        for seed in range(6):
-            rng, reference = Counting(seed), random.Random(seed)
-            letters = iter(_letters(rng, m, 3000))
-            assert list(itertools.islice(letters, 3000)) == \
-                [reference.randrange(m) for _ in range(3000)]
-        if m < 256:  # one bulk draw a seed, and more where it falls short,
-            # which only odds m / 2^k = 1/2 make likely
-            assert 6 < calls < 12 if m & (m - 1) == 0 else calls == 6
+    def test_sampler_shares_equal_draws_and_reaches_every_element(self):
+        group = automorphism_group(cycle(8))
+        sample = _sample_elements(group, 1000, 3)
+        assert len(set(sample)) == group.order() == 16
+        assert len({id(p) for p in sample}) == 16
 
 
 class TestParserReuse:

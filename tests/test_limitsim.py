@@ -348,6 +348,12 @@ class TestPairCertificate:
             idle_levels += len(expected) < 2 ** K * (2 ** K - 1) // 2
         assert short > 10 and idle_levels > 10  # both cases are exercised
 
+    @pytest.mark.parametrize("K", range(1, 11))
+    def test_words_are_the_epsilon_words_in_index_order(self, K):
+        cert = verify_distinctness(_hand_built_state(K, K))
+        assert cert.words == [EpsilonWord.from_int(m, K).bits
+                              for m in range(2 ** K)]
+
     def test_items_are_pair_witnesses(self, tree12_k3):
         cert = verify_distinctness(tree12_k3, 3)
         assert all(type(w) is PairWitness for w in cert)
