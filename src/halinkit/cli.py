@@ -18,12 +18,11 @@ import platform
 import random
 import sys
 import time
-from operator import itemgetter
 
 from . import __version__
 from .autgroup import automorphism_group
-from .graphs import (Graph, Graph6Error, TruncatedFamily, from_json,
-                     is_connected, make_family, parse_graph6, to_json)
+from .graphs import (FAMILY_NAMES, Graph, Graph6Error, TruncatedFamily,
+                     from_json, make_family, parse_graph6)
 from .groups import PermGroup
 from .invariants import (BudgetExceededError, DEFAULT_SUBSET_BUDGET, bounds,
                          determining_number, distinguishing_cost,
@@ -279,26 +278,11 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
     """``count`` seeded, uniformly random group elements: for each draw
     r = ``randrange(|G|)``, element r of :meth:`PermGroup.elements`, built
-    from r's mixed-radix digits on first use with one gather per chain
-    level whose digit is not the base point.  Equal draws share one object.
-    """
+    by the chain on first use.  Equal draws share one object."""
     chain = group.chain()
-    levels = [(t, b, sorted(t)) for t, b in zip(chain.transversals, chain.base)]
-    levels.reverse()  # least significant digit first
-
-    class Elements(dict):
-        def __missing__(self, r: int) -> Permutation:
-            images, rest = tuple(range(group.degree)), r
-            for t, b, orbit in levels:  # images <- u_j * images
-                rest, digit = divmod(rest, len(orbit))
-                if orbit[digit] != b:  # so degree >= 2: itemgetter gives a tuple
-                    images = itemgetter(*images)(t[orbit[digit]].images)
-            self[r] = element = Permutation._raw(images)
-            return element
-
     rng = random.Random(seed)
     draws = map(rng.randrange, itertools.repeat(chain.order(), count))
-    return list(map(Elements().__getitem__, draws))
+    return list(map(functools.cache(chain.element), draws))
 
 
 def _parse_images(raw: str) -> list[int]:
@@ -358,9 +342,7 @@ def _echo(args: argparse.Namespace) -> dict:
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["path", "cycle", "complete",
-                                        "complete-bipartite", "petersen",
-                                        "binary-tree", "comb"])
+    p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--n", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--input", help="graph6 or JSON edge-list file, '-' for stdin")

@@ -11,7 +11,9 @@ setwise stabilizer's chain is then read off one coset backtrack.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from .perms import Permutation
 
@@ -29,11 +31,13 @@ class _Chain:
     """A stabilizer chain: base points plus per-level generators/transversals.
 
     Level i holds generators of the pointwise stabilizer of base[:i] and the
-    transversal of the orbit of base[i] under them.  The pointwise stabilizer
-    of the first m base points is generated by the level-m generator list.
+    transversal of the orbit of base[i] under them, with the orbit sorted in
+    ``orbits[i]``.  The pointwise stabilizer of the first m base points is
+    generated by the level-m generator list.
     """
 
-    __slots__ = ("degree", "base", "gens", "transversals", "strong_gens")
+    __slots__ = ("degree", "base", "gens", "transversals", "orbits",
+                 "strong_gens")
 
     def __init__(self, degree: int, base: list[int],
                  gens: list[list[Permutation]],
@@ -43,6 +47,7 @@ class _Chain:
         self.base = base
         self.gens = gens
         self.transversals = transversals
+        self.orbits = [sorted(t) for t in transversals]
         self.strong_gens = strong_gens
 
     @classmethod
@@ -64,10 +69,7 @@ class _Chain:
         return self
 
     def order(self) -> int:
-        result = 1
-        for t in self.transversals:
-            result *= len(t)
-        return result
+        return math.prod(map(len, self.orbits))
 
     def sift(self, p: Permutation, start: int = 0
              ) -> tuple[int, Permutation]:
@@ -80,6 +82,36 @@ class _Chain:
             if a != self.base[j]:
                 p = t[a].inverse() * p
         return len(self.base), p
+
+    def walk(self, keep: Callable[[int, Permutation, int], bool] | None = None,
+             level: int = 0, w: Permutation | None = None,
+             stop: int | None = None) -> Iterator[Permutation]:
+        """The coset products w * u_level * ... * u_{stop-1}, depth first
+        in :meth:`PermGroup.elements` order (w defaults to the identity,
+        stop to the chain length).  The child with u_level(base[level]) = a
+        is entered only if ``keep(level, w, a)``, asked before its product,
+        which maps base[level] to w(a), is formed."""
+        w = Permutation.identity(self.degree) if w is None else w
+        stop = len(self.base) if stop is None else stop
+        if level == stop:
+            yield w
+            return
+        t = self.transversals[level]
+        for a in self.orbits[level]:
+            if keep is None or keep(level, w, a):
+                yield from self.walk(keep, level + 1, w * t[a], stop)
+
+    def element(self, r: int) -> Permutation:
+        """Element r of the order ``walk`` lists the group in, built from
+        r's mixed-radix digits (level 0 most significant) with one gather
+        per level whose digit is not the base point."""
+        images = tuple(range(self.degree))
+        for b, t, orbit in zip(reversed(self.base), reversed(self.transversals),
+                               reversed(self.orbits)):  # images <- u_j * images
+            r, digit = divmod(r, len(orbit))
+            if orbit[digit] != b:  # so degree >= 2: itemgetter gives a tuple
+                images = itemgetter(*images)(t[orbit[digit]].images)
+        return Permutation._raw(images)
 
 
 def _orbit_transversal(degree: int, point: int,
@@ -130,7 +162,7 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation],
     while i >= 0 and chain.order() != order:
         stuck: tuple[int, Permutation] | None = None
         t_i = chain.transversals[i]
-        for a in sorted(t_i):
+        for a in chain.orbits[i]:
             ua = t_i[a]
             for g in chain.gens[i]:
                 ub = t_i[g(a)]
@@ -227,19 +259,15 @@ class PermGroup:
     def elements(self, limit: int = 1_000_000) -> list[Permutation]:
         """Every element exactly once; refuses when the order exceeds limit.
 
-        The order is a contract: element r is u_0 * ... * u_{l-1}, u_j the
-        transversal element of chain level j whose point sits at r's j-th
-        mixed-radix digit (level 0 most significant) in the level's sorted
-        orbit.  ``motion`` and the CLI's topology sampler rely on it.
+        Element r is u_0 * ... * u_{l-1}, u_j the transversal element of
+        chain level j whose point sits at r's j-th mixed-radix digit (level
+        0 most significant) in the level's sorted orbit.  ``_Chain.walk``
+        and ``_Chain.element`` implement this order.
         """
         order = self.order()
         if order > limit:
             raise GroupTooLargeError(order, limit)
-        chain = self.chain()
-        elems = [Permutation.identity(self.degree)]
-        for t in reversed(chain.transversals):
-            elems = [t[a] * e for a in sorted(t) for e in elems]
-        return elems
+        return list(self.chain().walk())
 
     def _prefixed(self, points: Iterable[int]
                   ) -> tuple[_Chain, list[Permutation]]:
@@ -283,23 +311,15 @@ class PermGroup:
             return self
         chain, gens = self._prefixed(target)
         m = len(target)
-        keys = [sorted(t) for t in chain.transversals[:m]]
 
-        def first_leaf(level: int, w: Permutation) -> Permutation | None:
-            if level == m:
-                return w
-            t = chain.transversals[level]
-            for a in keys[level]:
-                if w(a) in target:
-                    leaf = first_leaf(level + 1, w * t[a])
-                    if leaf is not None:
-                        return leaf
-            return None
+        def keep(level: int, w: Permutation, a: int) -> bool:
+            return w(a) in target
 
         for j in range(m):
-            for a in keys[j]:
+            t = chain.transversals[j]
+            for a in chain.orbits[j]:
                 if a != chain.base[j] and a in target:
-                    leaf = first_leaf(j + 1, chain.transversals[j][a])
+                    leaf = next(chain.walk(keep, j + 1, t[a], m), None)
                     if leaf is not None:
                         gens.append(leaf)
         return PermGroup.from_strong_generators(self.degree, gens, chain.base)

@@ -177,7 +177,7 @@ def motion(group: PermGroup) -> tuple[int, Permutation]:
 
     Branch-and-bound over the stabilizer chain.  Partial coset products are
     visited in the order :meth:`PermGroup.elements` lists the group, a
-    product whose decided base-point images already move as many points as
+    child whose decided base-point images already move as many points as
     the best witness is pruned, and the witness changes only on a strict
     improvement, so it is the first minimum-motion element of that listing.
     """
@@ -185,27 +185,20 @@ def motion(group: PermGroup) -> tuple[int, Permutation]:
         raise ValueError("motion is undefined for the trivial group")
     chain = group.chain()
     base = chain.base
-    identity = Permutation.identity(group.degree)
-    best: list = [group.degree + 1, identity]
+    best, witness = group.degree + 1, None
+    # moved[j]: points of base[:j] moved by the walk's product at level j;
+    # the walk is depth first, so a child's count stands while it is walked
+    moved = [0] * (len(base) + 1)
 
-    def rec(level: int, w: Permutation, moved: int) -> None:
-        if moved >= best[0]:
-            return
-        if level == len(base):
-            if not w.is_identity():
-                m = w.num_moved()
-                if m < best[0]:
-                    best[0] = m
-                    best[1] = w
-            return
-        t = chain.transversals[level]
-        for a in sorted(t):
-            w2 = w * t[a]
-            rec(level + 1, w2,
-                moved + (1 if w2(base[level]) != base[level] else 0))
+    def keep(level: int, w: Permutation, a: int) -> bool:
+        moved[level + 1] = moved[level] + (w.images[a] != base[level])
+        return moved[level + 1] < best
 
-    rec(0, identity, 0)
-    return best[0], best[1]
+    for w in chain.walk(keep):
+        m = w.num_moved()
+        if 0 < m < best:
+            best, witness = m, w
+    return best, witness
 
 
 def disjoint_translate(group: PermGroup, y: Iterable[int],
@@ -214,33 +207,24 @@ def disjoint_translate(group: PermGroup, y: Iterable[int],
 
     Finite groups may have no such element; the search walks the stabilizer
     chain depth-first, pruning branches whose decided images of Z already
-    meet Y.
+    meet Y, and stops at the first level whose base prefix holds all of Z.
+    A vertex out of range raises ValueError.
     """
     yset = frozenset(y)
     zset = frozenset(z)
+    if not all(0 <= v < group.degree for v in yset | zset):
+        raise ValueError(f"vertices out of range 0..{group.degree - 1}")
     if not yset or not zset:
         return Permutation.identity(group.degree)
     chain = group.chain()
     base = chain.base
-    z_in_base = [b for b in base if b in zset]
+    stop = max(map(base.index, zset)) + 1 if zset <= set(base) else len(base)
 
-    def rec(level: int, w: Permutation) -> Permutation | None:
-        decided = set(base[:level])
-        if zset <= decided:
-            return w  # all images of Z decided and disjoint from Y
-        if level == len(base):
-            return w if yset.isdisjoint(w(v) for v in zset) else None
-        t = chain.transversals[level]
-        for a in sorted(t):
-            w2 = w * t[a]
-            if any(w2(b) in yset for b in z_in_base if b in decided | {base[level]}):
-                continue
-            found = rec(level + 1, w2)
-            if found is not None:
-                return found
-        return None
+    def keep(level: int, w: Permutation, a: int) -> bool:
+        return base[level] not in zset or w(a) not in yset
 
-    return rec(0, Permutation.identity(group.degree))
+    return next((w for w in chain.walk(keep, stop=stop)
+                 if yset.isdisjoint(map(w, zset))), None)
 
 
 def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:

@@ -372,8 +372,11 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
 
     With N the largest enumeration index in the tuple, the images under
     alpha_m^eps must agree for every m in (N, R); R is limited by both the
-    completed rounds and the word length.
+    completed rounds and the word length.  Vertices out of range raise
+    ValueError.
     """
+    if not all(0 <= v < state.family.graph.n for v in vertices):
+        raise ValueError(f"vertices {list(vertices)} out of range")
     bits = tuple(word)
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)

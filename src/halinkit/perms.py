@@ -81,7 +81,7 @@ class Permutation:
         return Permutation._raw(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def support(self) -> tuple[int, ...]:
         """Points moved by the permutation, ascending."""

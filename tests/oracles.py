@@ -191,6 +191,105 @@ def sample_by_products(group, count, seed):
     return out
 
 
+def elements_by_products(group):
+    """Every element as full Permutation products, built level by level
+    from the last: element r is u_0 * ... * u_{l-1} at r's mixed-radix
+    digits (level 0 most significant) in each level's sorted orbit."""
+    from halinkit.perms import Permutation
+
+    elems = [Permutation.identity(group.degree)]
+    for t in reversed(group.chain().transversals):
+        elems = [t[a] * e for a in sorted(t) for e in elems]
+    return elems
+
+
+def set_stabilizer_by_first_leaf(group, points):
+    """The generator list of ``group.set_stabilizer(points)`` by a
+    recursive backtrack: the pointwise stabilizer's generators, then per
+    level j and image a off the identity path the first coset product
+    from level j on that keeps every decided image in the set."""
+    target = frozenset(points)
+    chain, gens = group._prefixed(target)
+    m = len(target)
+
+    def first_leaf(level, w):
+        if level == m:
+            return w
+        t = chain.transversals[level]
+        for a in sorted(t):
+            if w(a) in target:
+                leaf = first_leaf(level + 1, w * t[a])
+                if leaf is not None:
+                    return leaf
+        return None
+
+    for j in range(m):
+        for a in sorted(chain.transversals[j]):
+            if a != chain.base[j] and a in target:
+                leaf = first_leaf(j + 1, chain.transversals[j][a])
+                if leaf is not None:
+                    gens.append(leaf)
+    return gens
+
+
+def motion_by_recursion(group):
+    """Minimum motion with witness by a recursive branch-and-bound that
+    forms every child's product before pruning it: the first element of
+    ``group.elements()`` order with the least motion."""
+    from halinkit.perms import Permutation
+
+    chain = group.chain()
+    base = chain.base
+    best = [group.degree + 1, None]
+
+    def rec(level, w, moved):
+        if moved >= best[0]:
+            return
+        if level == len(base):
+            m = sum(1 for i, x in enumerate(w.images) if i != x)
+            if 0 < m < best[0]:
+                best[:] = [m, w]
+            return
+        t = chain.transversals[level]
+        for a in sorted(t):
+            w2 = w * t[a]
+            rec(level + 1, w2, moved + (w2(base[level]) != base[level]))
+
+    rec(0, Permutation.identity(group.degree), 0)
+    return best[0], best[1]
+
+
+def disjoint_translate_by_recursion(group, y, z):
+    """The first element in ``group.elements()`` order that maps Z off Y,
+    by a recursive backtrack that stops once every image of Z is decided;
+    None if no element does."""
+    from halinkit.perms import Permutation
+
+    yset, zset = frozenset(y), frozenset(z)
+    if not yset or not zset:
+        return Permutation.identity(group.degree)
+    chain = group.chain()
+    base = chain.base
+
+    def rec(level, w):
+        decided = set(base[:level])
+        if zset <= decided:
+            return w
+        if level == len(base):
+            return w if yset.isdisjoint(w(v) for v in zset) else None
+        t = chain.transversals[level]
+        for a in sorted(t):
+            w2 = w * t[a]
+            if any(w2(b) in yset for b in zset & (decided | {base[level]})):
+                continue
+            found = rec(level + 1, w2)
+            if found is not None:
+                return found
+        return None
+
+    return rec(0, Permutation.identity(group.degree))
+
+
 def tree_swap_by_pairs(u, n):
     """The binary-tree subtree swap under u as a loop over vertex pairs:
     the children of u trade places, then each pair's left children and

@@ -208,6 +208,12 @@ class TestDisjointTranslate:
         p = disjoint_translate(d6, {0, 1}, {2})
         assert p is not None and d6.contains(p)
 
+    @pytest.mark.parametrize("y, z", [({0}, {99}), ({99}, {0}), ({0}, {-1}),
+                                      (set(), {8}), ({8}, set())])
+    def test_vertices_out_of_range(self, y, z):
+        with pytest.raises(ValueError, match="out of range"):
+            disjoint_translate(aut(cycle(8)), y, z)
+
 
 class TestReducingVertex:
     def test_cycle8_pair(self):

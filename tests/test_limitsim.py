@@ -397,6 +397,13 @@ class TestFinitary:
         with pytest.raises(ValueError):
             verify_finitary(tree12_k3, [0, 1, 2], EpsilonWord.from_int(3, 3))
 
+    @pytest.mark.parametrize("vertices", [[-1], [-5, 1], [0, 511]])
+    def test_vertices_out_of_range(self, vertices):
+        st = run_construction(binary_tree(8), 4)
+        assert st.family.graph.n == 511
+        with pytest.raises(ValueError, match="out of range"):
+            verify_finitary(st, vertices, (1, 1, 1, 1))
+
     def test_deeper_state_many_tuples(self):
         st = run_construction(binary_tree(12), 6)
         assert st.rounds_completed == 6

@@ -100,6 +100,7 @@ def test_inverse_cancels(p):
 def test_support_matches_moved_count(p):
     assert len(p.support()) == p.num_moved()
     assert all(p(x) != x for x in p.support())
+    assert p.is_identity() == (not p.support())
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(
