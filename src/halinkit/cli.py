@@ -99,11 +99,11 @@ def _digest(g: Graph) -> str:
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _report(command: str, flags: dict, g: Graph, results: dict,
+def _report(args: argparse.Namespace, g: Graph, results: dict,
             started: float) -> dict:
     return {
-        "command": command,
-        "flags": flags,
+        "command": args.subcommand,
+        "flags": _echo(args),
         "input": {"digest": _digest(g), "n": g.n, "edges": len(g.edges)},
         "results": results,
         "versions": {"halinkit": __version__,
@@ -174,49 +174,41 @@ def _parse_vertex_list(raw: str) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_aut(args) -> tuple[dict, int]:
-    started = time.monotonic()
+# Each handler returns (graph, results, exit code); main builds the report.
+
+def _loaded_group(args) -> tuple[Graph, PermGroup]:
     g = _as_graph(_load_graph(args))
-    group = automorphism_group(g)
-    results = {"order": group.order(),
-               "generators": [list(p.images) for p in group.generators]}
-    return _report("aut", _echo(args), g, results, started), EXIT_OK
+    return g, automorphism_group(g)
 
 
-def _cmd_base(args) -> tuple[dict, int]:
-    started = time.monotonic()
-    g = _as_graph(_load_graph(args))
-    group = automorphism_group(g)
+def _cmd_aut(args) -> tuple[Graph, dict, int]:
+    g, group = _loaded_group(args)
+    return g, {"order": group.order(),
+               "generators": [list(p.images) for p in group.generators]}, EXIT_OK
+
+
+def _cmd_base(args) -> tuple[Graph, dict, int]:
+    g, group = _loaded_group(args)
     size, witness = determining_number(group, budget=_budget())
-    results = {"determining_number": size, "witness": list(witness)}
-    return _report("base", _echo(args), g, results, started), EXIT_OK
+    return g, {"determining_number": size, "witness": list(witness)}, EXIT_OK
 
 
-def _cmd_cost(args) -> tuple[dict, int]:
-    started = time.monotonic()
-    g = _as_graph(_load_graph(args))
-    group = automorphism_group(g)
+def _cmd_cost(args) -> tuple[Graph, dict, int]:
+    g, group = _loaded_group(args)
     found = distinguishing_cost(group, budget=_budget())
     if found is None:
-        results = {"rho": None, "witness": None, "exists": False}
-    else:
-        results = {"rho": found[0], "witness": list(found[1]), "exists": True}
-    return _report("cost", _echo(args), g, results, started), EXIT_OK
+        return g, {"rho": None, "witness": None, "exists": False}, EXIT_OK
+    return g, {"rho": found[0], "witness": list(found[1]), "exists": True}, EXIT_OK
 
 
-def _cmd_motion(args) -> tuple[dict, int]:
-    started = time.monotonic()
-    g = _as_graph(_load_graph(args))
-    group = automorphism_group(g)
+def _cmd_motion(args) -> tuple[Graph, dict, int]:
+    g, group = _loaded_group(args)
     m, witness = motion(group)
-    results = {"motion": m, "witness": list(witness.images)}
-    return _report("motion", _echo(args), g, results, started), EXIT_OK
+    return g, {"motion": m, "witness": list(witness.images)}, EXIT_OK
 
 
-def _cmd_greedy(args) -> tuple[dict, int]:
-    started = time.monotonic()
-    g = _as_graph(_load_graph(args))
-    group = automorphism_group(g)
+def _cmd_greedy(args) -> tuple[Graph, dict, int]:
+    g, group = _loaded_group(args)
     base = _parse_vertex_list(args.base)
     if not all(0 <= v < g.n for v in base):
         raise InputError("base vertices out of range")
@@ -228,11 +220,10 @@ def _cmd_greedy(args) -> tuple[dict, int]:
         results["within_bound"] = (
             chain.completed and len(chain.final_set) <= b.cost_bound
             and chain.length <= b.chain_bound)
-    return _report("greedy", _echo(args), g, results, started), EXIT_OK
+    return g, results, EXIT_OK
 
 
-def _cmd_limit_sim(args) -> tuple[dict, int]:
-    started = time.monotonic()
+def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
     if args.family not in ("binary-tree", "comb"):
         raise InputError("limit-sim supports --family binary-tree or comb")
     if args.k < 1:
@@ -243,26 +234,23 @@ def _cmd_limit_sim(args) -> tuple[dict, int]:
     assert isinstance(family, TruncatedFamily)
     state = run_construction(family, args.k)
     results: dict = {"construction": state.to_json()}
-    code = EXIT_OK
     if state.exhausted:
-        code = EXIT_EXHAUSTED
-    else:
-        pairs = 2 ** args.k * (2 ** args.k - 1) // 2
-        budget = _budget()
-        if pairs > budget:
-            raise ResourceLimitError(
-                f"pair certificate needs {pairs} pairs, budget {budget}")
-        witnessed = verify_distinctness(state, args.k).witnessed()
-        exhaustion = state.exhaustion()
-        seq = [alpha_perm(state, (1,) * (k + 1)) for k in range(args.k)]
-        cauchy = [str(x) for x in check_cauchy(exhaustion, seq)]
-        results.update({
-            "distinctness": {"pairs": pairs, "witnessed": witnessed},
-            "cauchy_table": cauchy,
-            "inverse_consistency": state.inverse_consistency(),
-        })
-    return _report("limit-sim", _echo(args), family.graph, results,
-                   started), code
+        return family.graph, results, EXIT_EXHAUSTED
+    pairs = 2 ** args.k * (2 ** args.k - 1) // 2
+    budget = _budget()
+    if pairs > budget:
+        raise ResourceLimitError(
+            f"pair certificate needs {pairs} pairs, budget {budget}")
+    witnessed = verify_distinctness(state, args.k).witnessed()
+    exhaustion = state.exhaustion()
+    seq = [alpha_perm(state, (1,) * (k + 1)) for k in range(args.k)]
+    cauchy = [str(x) for x in check_cauchy(exhaustion, seq)]
+    results.update({
+        "distinctness": {"pairs": pairs, "witnessed": witnessed},
+        "cauchy_table": cauchy,
+        "inverse_consistency": state.inverse_consistency(),
+    })
+    return family.graph, results, EXIT_OK
 
 
 def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
@@ -293,8 +281,7 @@ def _parse_images(raw: str) -> list[int]:
     return images
 
 
-def _cmd_topology(args) -> tuple[dict, int]:
-    started = time.monotonic()
+def _cmd_topology(args) -> tuple[Graph, dict, int]:
     g = _as_graph(_load_graph(args))
     if args.exhaustion is None:
         raise InputError("topology needs --exhaustion \"i,j|i,j,k|...\"")
@@ -332,7 +319,7 @@ def _cmd_topology(args) -> tuple[dict, int]:
         violations = check_ultrametric(exhaustion, zip(*[iter(sample)] * 3))
         results["ultrametric"] = {"triples": args.triples,
                                   "violations": violations}
-    return _report("topology", _echo(args), g, results, started), EXIT_OK
+    return g, results, EXIT_OK
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -349,6 +336,17 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true")
 
 
+_COMMANDS = (  # (name, help, handler) in the order --help lists them
+    ("aut", "automorphism group generators and order", _cmd_aut),
+    ("base", "determining number and least witness base", _cmd_base),
+    ("cost", "distinguishing cost and witness", _cmd_cost),
+    ("motion", "minimum motion over nontrivial automorphisms", _cmd_motion),
+    ("greedy", "greedy distinguishing chain from a base", _cmd_greedy),
+    ("limit-sim", "run the truncated limit construction", _cmd_limit_sim),
+    ("topology", "permutation ultrametric queries", _cmd_topology),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -357,51 +355,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "distinguishing sets, greedy stabilizer chains, "
                     "truncated limit constructions, permutation ultrametrics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("aut", help="automorphism group generators and order")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_aut)
-
-    p = sub.add_parser("base", help="determining number and least witness base")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_base)
-
-    p = sub.add_parser("cost", help="distinguishing cost and witness")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_cost)
-
-    p = sub.add_parser("motion", help="minimum motion over nontrivial automorphisms")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_motion)
-
-    p = sub.add_parser("greedy", help="greedy distinguishing chain from a base")
-    _add_graph_args(p)
-    p.add_argument("--base", required=True, help="comma-separated base vertices")
-    p.set_defaults(func=_cmd_greedy)
-
-    p = sub.add_parser("limit-sim", help="run the truncated limit construction")
-    _add_graph_args(p)
-    p.add_argument("--k", type=int, required=True, help="rounds to run")
-    p.set_defaults(func=_cmd_limit_sim)
-
-    p = sub.add_parser("topology", help="permutation ultrametric queries")
-    _add_graph_args(p)
+    subparsers = {}
+    for name, help_text, handler in _COMMANDS:
+        p = subparsers[handler] = sub.add_parser(name, help=help_text)
+        _add_graph_args(p)
+        p.set_defaults(func=handler)
+    subparsers[_cmd_greedy].add_argument(
+        "--base", required=True, help="comma-separated base vertices")
+    subparsers[_cmd_limit_sim].add_argument(
+        "--k", type=int, required=True, help="rounds to run")
+    p = subparsers[_cmd_topology]
     p.add_argument("--exhaustion", help="nested sets, e.g. \"0,1|0,1,2\"")
     p.add_argument("--pair", nargs=2, action="append", metavar=("A", "B"),
                    help="two JSON image arrays to compare (repeatable)")
     p.add_argument("--triples", type=int, default=0,
                    help="random ultrametric triples to check")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_topology)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        report, code = args.func(args)
+        g, results, code = args.func(args)
     except InputError as exc:
         print(f"halinkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -412,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"halinkit: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(report, args.pretty)
+    _emit(_report(args, g, results, started), args.pretty)
     return code
 
 

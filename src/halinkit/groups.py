@@ -90,16 +90,28 @@ class _Chain:
         in :meth:`PermGroup.elements` order (w defaults to the identity,
         stop to the chain length).  The child with u_level(base[level]) = a
         is entered only if ``keep(level, w, a)``, asked before its product,
-        which maps base[level] to w(a), is formed."""
+        which maps base[level] to w(a), is formed.  A stack of (product,
+        unvisited orbit points) pairs, one per level, stands in for
+        recursion, so no chain is too deep to walk."""
         w = Permutation.identity(self.degree) if w is None else w
         stop = len(self.base) if stop is None else stop
         if level == stop:
             yield w
             return
-        t = self.transversals[level]
-        for a in self.orbits[level]:
-            if keep is None or keep(level, w, a):
-                yield from self.walk(keep, level + 1, w * t[a], stop)
+        stack = [(w, iter(self.orbits[level]))]
+        while stack:
+            j = level + len(stack) - 1
+            w, points = stack[-1]
+            for a in points:
+                if keep is None or keep(j, w, a):
+                    child = w * self.transversals[j][a]
+                    if j + 1 == stop:
+                        yield child
+                    else:
+                        stack.append((child, iter(self.orbits[j + 1])))
+                        break
+            else:
+                stack.pop()
 
     def element(self, r: int) -> Permutation:
         """Element r of the order ``walk`` lists the group in, built from

@@ -237,7 +237,10 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     preserves Y + {v}, so v cannot cut the order.  A candidate v qualifies
     when every generator of stab(Y + {v}) preserves Y.  That group is then
     stab(Y)_v, the elements of stab(Y) fixing v, a proper subgroup because
-    stab(Y) moves v; so no orders are compared.
+    stab(Y) moves v; so no orders are compared.  A candidate outside X
+    qualifies without that test: an element preserving Y + {v} maps Y
+    (|Y| >= 2) to a set meeting Y, hence inside X, hence missing v, hence
+    onto Y.
     Returns None ("stalled") when no vertex produces a proper subgroup,
     which finite graphs can legitimately hit.
     """
@@ -262,6 +265,8 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
                 queue.append(image)
     x = {v for u, v in pairs if u in yset}  # contains Y
     for v in sorted(moved_by_stab - yset, key=lambda v: (v in x, v)):
+        if v not in x:
+            return v
         stab_v = group.set_stabilizer(yset | {v})
         if all(frozenset(gen(u) for u in yset) == yset
                for gen in stab_v.generators):

@@ -245,9 +245,11 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
 
     Requires enough rounds for the word, and v in the closure F_{len(word)}
     (which holds 0..len(word)), whose members are fixed by every later
-    round's automorphism, so the value can no longer change.
+    round's automorphism, so the value can no longer change.  Every word
+    argument is read as an ``EpsilonWord``: bits 0 or 1, length >= 1, or
+    ValueError.
     """
-    bits = tuple(word)
+    bits = EpsilonWord(tuple(word)).bits
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError(
@@ -261,8 +263,9 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
 
 def alpha_perm(state: ConstructionState,
                word: EpsilonWord | Sequence[int]) -> Permutation:
-    """Materialize alpha_k^eps as a full permutation of the truncated graph."""
-    bits = tuple(word)
+    """Materialize alpha_k^eps as a full permutation of the truncated graph
+    (the word read as in ``alpha``)."""
+    bits = EpsilonWord(tuple(word)).bits
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError("not enough rounds for the word")
@@ -372,12 +375,12 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
 
     With N the largest enumeration index in the tuple, the images under
     alpha_m^eps must agree for every m in (N, R); R is limited by both the
-    completed rounds and the word length.  Vertices out of range raise
-    ValueError.
+    completed rounds and the word length.  Vertices out of range, or a word
+    that is not an ``EpsilonWord``'s bits, raise ValueError.
     """
     if not all(0 <= v < state.family.graph.n for v in vertices):
         raise ValueError(f"vertices {list(vertices)} out of range")
-    bits = tuple(word)
+    bits = EpsilonWord(tuple(word)).bits
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)
     if N + 1 >= R:

@@ -290,6 +290,98 @@ def disjoint_translate_by_recursion(group, y, z):
     return rec(0, Permutation.identity(group.degree))
 
 
+def reducing_vertex_by_set_stabilizers(group, y):
+    """``reducing_vertex`` with a set stabilizer for every candidate: the
+    least v moved by stab(Y), those outside X first (X the union of the
+    images a(Y) that meet Y), such that every generator of stab(Y + {v})
+    preserves Y; None if none does."""
+    yset = frozenset(y)
+    if len(yset) < 2:
+        raise ValueError("reducing vertex needs |Y| >= 2")
+    stab_y = group.set_stabilizer(yset)
+    if stab_y.is_trivial():
+        raise ValueError("setwise stabilizer of Y is already trivial")
+    moved_by_stab = {v for gen in stab_y.generators for v in gen.support()}
+    pairs = {(u, v) for u in yset for v in yset}
+    queue = list(pairs)
+    while queue:
+        u, v = queue.pop()
+        for gen in group.generators:
+            image = (gen(u), gen(v))
+            if image not in pairs:
+                pairs.add(image)
+                queue.append(image)
+    x = {v for u, v in pairs if u in yset}
+    for v in sorted(moved_by_stab - yset, key=lambda v: (v in x, v)):
+        stab_v = group.set_stabilizer(yset | {v})
+        if all(frozenset(gen(u) for u in yset) == yset
+               for gen in stab_v.generators):
+            return v
+    return None
+
+
+def build_parser_by_blocks():
+    """The CLI parser as seven hand-written ``add_parser`` blocks, each
+    with the graph flags, its own flags and its handler."""
+    import argparse
+
+    from halinkit import cli
+    from halinkit.graphs import FAMILY_NAMES
+
+    def add_graph_args(p):
+        p.add_argument("--family", choices=FAMILY_NAMES)
+        p.add_argument("--n", type=int)
+        p.add_argument("--depth", type=int)
+        p.add_argument("--input",
+                       help="graph6 or JSON edge-list file, '-' for stdin")
+        p.add_argument("--pretty", action="store_true")
+
+    parser = argparse.ArgumentParser(
+        prog="halinkit",
+        description="Graph symmetry toolkit: automorphism groups, bases, "
+                    "distinguishing sets, greedy stabilizer chains, "
+                    "truncated limit constructions, permutation ultrametrics.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("aut", help="automorphism group generators and order")
+    add_graph_args(p)
+    p.set_defaults(func=cli._cmd_aut)
+
+    p = sub.add_parser("base", help="determining number and least witness base")
+    add_graph_args(p)
+    p.set_defaults(func=cli._cmd_base)
+
+    p = sub.add_parser("cost", help="distinguishing cost and witness")
+    add_graph_args(p)
+    p.set_defaults(func=cli._cmd_cost)
+
+    p = sub.add_parser("motion", help="minimum motion over nontrivial automorphisms")
+    add_graph_args(p)
+    p.set_defaults(func=cli._cmd_motion)
+
+    p = sub.add_parser("greedy", help="greedy distinguishing chain from a base")
+    add_graph_args(p)
+    p.add_argument("--base", required=True, help="comma-separated base vertices")
+    p.set_defaults(func=cli._cmd_greedy)
+
+    p = sub.add_parser("limit-sim", help="run the truncated limit construction")
+    add_graph_args(p)
+    p.add_argument("--k", type=int, required=True, help="rounds to run")
+    p.set_defaults(func=cli._cmd_limit_sim)
+
+    p = sub.add_parser("topology", help="permutation ultrametric queries")
+    add_graph_args(p)
+    p.add_argument("--exhaustion", help="nested sets, e.g. \"0,1|0,1,2\"")
+    p.add_argument("--pair", nargs=2, action="append", metavar=("A", "B"),
+                   help="two JSON image arrays to compare (repeatable)")
+    p.add_argument("--triples", type=int, default=0,
+                   help="random ultrametric triples to check")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cli._cmd_topology)
+
+    return parser
+
+
 def tree_swap_by_pairs(u, n):
     """The binary-tree subtree swap under u as a loop over vertex pairs:
     the children of u trade places, then each pair's left children and

@@ -8,6 +8,7 @@ import pytest
 
 from halinkit.autgroup import automorphism_group
 from halinkit.graphs import complete_bipartite, petersen
+from halinkit.groups import PermGroup
 from halinkit.invariants import disjoint_translate, motion
 from halinkit.perms import Permutation
 
@@ -114,3 +115,15 @@ def test_motion_forms_no_product_it_prunes(monkeypatch):
         products.append(0)
         search(group)
     assert products[0] < products[1]
+
+
+def test_walk_has_no_depth_limit():
+    """A 1,101-level chain whose only nontrivial level is the last: the
+    recursive walk passed the interpreter's recursion limit here."""
+    swap = Permutation.from_cycles(1200, [(1198, 1199)])
+    group = PermGroup.from_strong_generators(1200, [swap],
+                                             list(range(1100)) + [1198])
+    assert group.elements() == [Permutation.identity(1200), swap]
+    assert motion(group) == (2, swap)
+    assert disjoint_translate(group, {1198}, {1198}) == swap
+    assert group.set_stabilizer({1198}).order() == 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from halinkit.autgroup import automorphism_group
@@ -16,7 +18,8 @@ from conftest import dihedral
 from corpus import hypercube, small_corpus
 from oracles import (brute_automorphisms, brute_determining_number,
                      brute_distinguishing_cost, brute_motion,
-                     longest_subgroup_chain, networkx_automorphisms)
+                     longest_subgroup_chain, networkx_automorphisms,
+                     reducing_vertex_by_set_stabilizers)
 
 
 def aut(g):
@@ -215,6 +218,9 @@ class TestDisjointTranslate:
             disjoint_translate(aut(cycle(8)), y, z)
 
 
+REDUCING = small_corpus() + [("petersen", petersen()), ("Q4", hypercube(4))]
+
+
 class TestReducingVertex:
     def test_cycle8_pair(self):
         # exhaustive D_8 check: v=2 keeps order 2 (not nested); v=3 is least valid
@@ -237,6 +243,32 @@ class TestReducingVertex:
         after = d8.set_stabilizer({0, 1, v})
         assert after.order() < before.order()
         assert all(before.contains(p) for p in after.elements())
+
+    def test_vertex_outside_x_needs_no_set_stabilizer(self, monkeypatch):
+        # X = {0, 1, 2, 7}: 3 is returned off stab(Y) alone
+        group = aut(cycle(8))
+        calls = []
+        stabilizer = PermGroup.set_stabilizer
+        monkeypatch.setattr(PermGroup, "set_stabilizer",
+                            lambda g, points: calls.append(points)
+                            or stabilizer(g, points))
+        assert reducing_vertex(group, {0, 1}) == 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, graph", REDUCING,
+                             ids=[name for name, _ in REDUCING])
+    def test_matches_set_stabilizer_per_candidate(self, name, graph):
+        group = aut(graph)
+        rng = random.Random(name)
+        for _ in range(4):
+            y = rng.sample(range(graph.n), rng.randint(min(2, graph.n), graph.n))
+            try:
+                expected = reducing_vertex_by_set_stabilizers(group, y)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    reducing_vertex(group, y)
+            else:
+                assert reducing_vertex(group, y) == expected
 
 
 class TestGreedyChain:

@@ -32,6 +32,18 @@ class TestEpsilonWord:
     def test_from_int_lsb_first(self):
         assert EpsilonWord.from_int(5, 4).bits == (1, 0, 1, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda st: alpha_perm(st, (2,)),
+        lambda st: alpha_perm(st, ()),
+        lambda st: alpha(st, (), 0),
+        lambda st: verify_finitary(st, [0], (2, 5, 7)),
+    ], ids=["alpha_perm bit 2", "alpha_perm empty", "alpha empty",
+            "verify_finitary bits 2, 5, 7"])
+    def test_word_arguments_obey_its_rule(self, call):
+        # (2,) must not read as (1,), nor () as the identity word
+        with pytest.raises(ValueError, match="sign word"):
+            call(run_construction(binary_tree(6), 3))
+
 
 class TestFixingOracle:
     def test_root_fixed_swaps_under_left_child(self):
