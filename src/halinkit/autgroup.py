@@ -113,16 +113,17 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
     lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
     expected, queue, p.pending = p.expected, deque(p.pending), []
     queued, n = set(queue), len(lab)  # the starts in the queue
+    adj = g.adjacency
     while queue and p.ncells < n:
         s = queue.popleft()
         queued.discard(s)
         single = end[s] == s + 1
         if single:
-            counts = g.neighbors(lab[s])
+            counts = adj[lab[s]]
         else:
             counts = {}
             for u in lab[s:end[s]]:
-                for w in g.neighbors(u):
+                for w in adj[u]:
                     counts[w] = counts.get(w, 0) + 1
         touched = {}
         for w in counts:

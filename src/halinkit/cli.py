@@ -243,7 +243,8 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
             f"pair certificate needs {pairs} pairs, budget {budget}")
     witnessed = verify_distinctness(state, args.k).witnessed()
     exhaustion = state.exhaustion()
-    seq = [alpha_perm(state, (1,) * (k + 1)) for k in range(args.k)]
+    seq = list(itertools.accumulate(  # alpha_k = alpha_{k-1} * phi_k
+        state.phis[1:], Permutation.__mul__, initial=alpha_perm(state, (1,))))
     cauchy = [str(x) for x in check_cauchy(exhaustion, seq)]
     results.update({
         "distinctness": {"pairs": pairs, "witnessed": witnessed},
@@ -266,10 +267,12 @@ def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
     """``count`` seeded, uniformly random group elements: for each draw
     r = ``randrange(|G|)``, element r of :meth:`PermGroup.elements`, built
-    by the chain on first use.  Equal draws share one object."""
+    by the chain on first use.  Equal draws share one object.  r is the first
+    ``getrandbits(|G|.bit_length())`` below |G|, as in CPython 3.10-3.13."""
     chain = group.chain()
-    rng = random.Random(seed)
-    draws = map(rng.randrange, itertools.repeat(chain.order(), count))
+    order, rng = chain.order(), random.Random(seed)
+    bits = map(rng.getrandbits, itertools.repeat(order.bit_length()))
+    draws = itertools.islice(filter(order.__gt__, bits), count)
     return list(map(functools.cache(chain.element), draws))
 
 

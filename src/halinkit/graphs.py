@@ -8,6 +8,7 @@ truncation machinery in :mod:`halinkit.limitsim` relies on.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -27,10 +28,12 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Equality is (n, edge set); labels are provenance tags only and do not
-    take part in comparisons.
+    take part in comparisons.  Endpoints must be ints, never bools.  The
+    canonical edges (i < j) are also kept in first-seen order, and the
+    neighbour sets are built from them on first use of ``adjacency``.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "labels", "_order", "_adj")
 
     def __init__(
         self,
@@ -38,40 +41,52 @@ class Graph:
         edges: Iterable[Sequence[int]] = (),
         labels: Sequence[str] | None = None,
     ):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = set()
+        canon: dict[tuple[int, int], None] = {}  # first-seen order
         for e in edges:
             i, j = e
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"edge {(i, j)!r} endpoints must be ints")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge {(i, j)} out of range for n={n}")
-            canon.add((i, j) if i < j else (j, i))
+            canon[(i, j) if i < j else (j, i)] = None
         self.n = n
         self.edges = frozenset(canon)
+        self._order = tuple(canon)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
         self.labels = labels
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for i, j in canon:
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj: tuple[frozenset[int], ...] | None = None
+
+    @property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """The neighbour set of every vertex, built on first use."""
+        if self._adj is None:
+            adj: list[set[int]] = [set() for _ in range(self.n)]
+            for i, j in self._order:
+                adj[i].add(j)
+                adj[j].add(i)
+            self._adj = tuple(map(frozenset, adj))
+        return self._adj
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adjacency[v])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
+        return j in self.adjacency[i]
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        # linear time when the edges arrived sorted, as generated ones do
+        return sorted(self._order)
 
     def is_automorphism(self, images: Sequence[int]) -> bool:
         """True iff the image array is a bijection preserving adjacency."""
@@ -132,14 +147,16 @@ class TruncatedFamily:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff g has a single connected component (vacuously for n=0)."""
-    if g.n <= 1:
-        return True
-    seen, frontier = {0}, {0}
-    while frontier:  # breadth first, one set union per level
-        frontier = set().union(*map(g.neighbors, frontier)) - seen
-        seen |= frontier
-    return len(seen) == g.n
+    """True iff g has a single connected component (vacuously for n=0):
+    union-find with path halving over ``g.edges``, no adjacency sets."""
+    parent = list(range(g.n))
+    for i, j in g.edges:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[j] = i  # joins the two roots; a no-op when they are one
+    return sum(map(operator.eq, parent, range(g.n))) <= 1  # the roots
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +245,10 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
                    for shift in (30, 24, 18, 12, 6, 0))
     acc = 0
     filled = 0
+    adj = g.adjacency
     for j in range(1, n):
         for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
+            acc = (acc << 1) | (1 if i in adj[j] else 0)
             filled += 1
             if filled == 6:
                 out.append(chr(acc + 63))

@@ -139,6 +139,18 @@ def longest_subgroup_chain(n):
     return longest[frozenset(range(len(elems)))]
 
 
+def is_connected_by_bfs(g):
+    """The breadth-first connectivity check ``graphs.is_connected`` replaced:
+    one set union of neighbour sets per level (vacuously true for n <= 1)."""
+    if g.n <= 1:
+        return True
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = set().union(*map(g.neighbors, frontier)) - seen
+        seen |= frontier
+    return len(seen) == g.n
+
+
 def coarsest_equitable(g, cells):
     """The coarsest equitable refinement of the cells, as a set of
     frozensets: split every cell by the vertices' neighbour counts against

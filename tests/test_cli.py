@@ -10,11 +10,13 @@ import sys
 import pytest
 
 import halinkit
+from halinkit import cli
 from halinkit.autgroup import automorphism_group
 from halinkit.cli import _sample_elements, main
-from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
-                             encode_graph6, path, petersen, to_json)
+from halinkit.graphs import (Graph, binary_tree, complete, complete_bipartite,
+                             cycle, encode_graph6, path, petersen, to_json)
 from halinkit.groups import PermGroup
+from halinkit.limitsim import alpha_perm, depth_budget
 from halinkit.perms import Permutation
 
 from oracles import sample_by_listing, sample_by_products
@@ -188,6 +190,23 @@ class TestLimitSim:
         assert results["construction"]["completed_rounds"] < 5
         assert results["construction"]["exhausted"] is True
 
+    @pytest.mark.parametrize("family", ["binary-tree", "comb"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cauchy_sequence_is_the_prefix_products(self, capsys, monkeypatch,
+                                                    family, k):
+        states, seqs = [], []
+        run, check = cli.run_construction, cli.check_cauchy
+        monkeypatch.setattr(cli, "run_construction",
+                            lambda *a: states.append(run(*a)) or states[-1])
+        monkeypatch.setattr(cli, "check_cauchy",
+                            lambda e, seq: seqs.append(seq) or check(e, seq))
+        code, _, _ = run_cli(capsys, "limit-sim", "--family", family,
+                             "--depth", str(depth_budget(family, k)),
+                             "--k", str(k))
+        assert code == 0
+        [state], [seq] = states, seqs
+        assert seq == [alpha_perm(state, (1,) * (j + 1)) for j in range(k)]
+
 
 class TestTopology:
     def test_identical_permutations(self, capsys):
@@ -258,7 +277,11 @@ class TestTopology:
         "cycle7": cycle(7), "petersen": petersen(),
         "binary-tree5": binary_tree(5).graph, "path1": path(1),
         "path2": path(2), "K4": complete(4), "K5": complete(5),
-        "K33": complete_bipartite(3, 3)}
+        "K33": complete_bipartite(3, 3),
+        # order 1: every draw is getrandbits(1) until it reads 0
+        "rigid7": Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),
+        # order 2^127: each draw takes four Mersenne Twister words
+        "binary-tree7": binary_tree(7).graph}
 
     @staticmethod
     def assert_sampler_matches(group, oracle, counts=(0, 1, 31, 1000)):
@@ -271,11 +294,12 @@ class TestTopology:
     @pytest.mark.parametrize("name", SAMPLER_GRAPHS)
     def test_sampler_matches_product_oracle(self, name):
         group = automorphism_group(self.SAMPLER_GRAPHS[name])
-        self.assert_sampler_matches(group, sample_by_products)
+        counts = (0, 1, 31) if name == "binary-tree7" else (0, 1, 31, 1000)
+        self.assert_sampler_matches(group, sample_by_products, counts)
         assert all(map(group.contains, _sample_elements(group, 1000, 1)))
 
-    @pytest.mark.parametrize("name", [  # binary-tree5: order 2^31
-        name for name in SAMPLER_GRAPHS if name != "binary-tree5"])
+    @pytest.mark.parametrize("name", [  # binary trees: order 2^31, 2^127
+        name for name in SAMPLER_GRAPHS if not name.startswith("binary-tree")])
     def test_sampler_matches_listing_oracle(self, name):
         self.assert_sampler_matches(
             automorphism_group(self.SAMPLER_GRAPHS[name]), sample_by_listing)

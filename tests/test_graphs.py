@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -8,6 +10,9 @@ from halinkit.graphs import (Graph, Graph6Error, binary_tree, comb, complete,
                              complete_bipartite, cycle, encode_graph6,
                              from_json, is_connected, make_family,
                              parse_graph6, path, petersen, to_json)
+
+from corpus import small_corpus
+from oracles import is_connected_by_bfs
 
 
 class TestGraphType:
@@ -32,6 +37,155 @@ class TestGraphType:
         g = path(4)
         assert g.neighbors(1) == frozenset({0, 2})
         assert g.degree(0) == 1
+
+
+class TestInputChecks:
+    """Types the vertex count and endpoints must have; the neighbour sets
+    are built lazily, so none of this may rest on indexing them."""
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_vertex_count(self, n):
+        with pytest.raises(TypeError):
+            Graph(n, [])
+
+    def test_float_count_message_is_pythons(self):
+        with pytest.raises(TypeError, match="'float' object cannot be "
+                                            "interpreted as an integer"):
+            Graph(2.5, [])
+
+    # a bool endpoint would make Graph(3, [(True, 2)]) equal Graph(3,
+    # [(1, 2)]) with another digest, and to_json write [[true, 2]]
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0, 1.0), ("0", 1),
+                                      (None, 1), (True, 2), (1, False),
+                                      (True, True)])
+    def test_non_int_endpoints(self, edge):
+        with pytest.raises(TypeError, match="endpoints must be ints"):
+            Graph(3, [edge])
+
+    def test_index_types_are_read_as_ints(self):
+        g = Graph(True, [])
+        assert g.n == 1 and type(g.n) is int
+        assert to_json(g) == {"n": 1, "edges": []}
+
+    def test_value_checks_stay_value_errors(self):
+        with pytest.raises(ValueError):
+            Graph(3, [(-1, 0)])
+        with pytest.raises(ValueError):
+            Graph(-1, [])
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1, 2)])
+
+
+def eager_adjacency(g):
+    adj = [set() for _ in range(g.n)]
+    for i, j in sorted(g.edges):
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def every_graph(n):
+    possible = list(combinations(range(n), 2))
+    for mask in range(1 << len(possible)):
+        yield Graph(n, [e for k, e in enumerate(possible) if mask >> k & 1])
+
+
+class TestLazyAdjacency:
+    GRAPHS = [Graph(0), Graph(1), Graph(2), Graph(2, [(1, 0)]), path(5),
+              cycle(7), petersen(), complete_bipartite(2, 5),
+              binary_tree(4).graph, comb(5).graph, Graph(5, [(0, 4)])]
+
+    def assert_matches_eager(self, g):
+        adj = eager_adjacency(g)
+        for v in range(g.n):
+            assert g.neighbors(v) == adj[v]
+            assert g.degree(v) == len(adj[v])
+            for w in range(g.n):
+                assert g.has_edge(v, w) == (w in adj[v])
+
+    def test_matches_eager_adjacency(self):
+        for g in self.GRAPHS + [g for _, g in small_corpus()]:
+            self.assert_matches_eager(g)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_eager_adjacency_on_random_edges(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        possible = list(combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(possible))) \
+            if possible else []
+        self.assert_matches_eager(Graph(n, edges))
+
+    def test_adjacency_is_built_once_on_first_use(self):
+        g = cycle(5)
+        assert g._adj is None
+        assert g.adjacency is g.adjacency
+        assert g.adjacency[0] == frozenset({1, 4})
+
+    def test_edge_list_is_sorted_whatever_the_input_order(self):
+        tree = binary_tree(5).graph
+        shuffled = list(tree.edges)
+        random.Random(5).shuffle(shuffled)
+        reversed_json = {"n": 10, "edges": [[j, i] for i, j in
+                                            sorted(petersen().edges)][::-1]}
+        inputs = [
+            Graph(tree.n, shuffled),
+            parse_graph6(encode_graph6(petersen())),  # column by column
+            parse_graph6(encode_graph6(complete(9))),
+            from_json(reversed_json),
+            Graph(4, [(2, 3), (1, 0), (3, 2), (0, 1), (0, 3), (3, 0)]),
+            Graph(3), cycle(6), comb(4).graph,
+        ]
+        for g in inputs:
+            assert g.edge_list() == sorted(g.edges)
+        assert inputs[3] == petersen()
+
+    def test_limit_sim_path_builds_no_adjacency(self):
+        from halinkit.cli import _digest
+        from halinkit.limitsim import run_construction
+        family = make_family("binary-tree", depth=10)
+        state = run_construction(family, 6)
+        assert state.rounds_completed == 6
+        _digest(family.graph)
+        assert family.graph._adj is None
+
+
+class TestConnectivity:
+    """Union-find ``is_connected`` against the breadth-first reference."""
+
+    def test_matches_bfs_on_the_corpus(self):
+        for name, g in small_corpus():
+            assert is_connected(g) == is_connected_by_bfs(g), name
+
+    def test_matches_bfs_on_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            for g in every_graph(n):
+                assert is_connected(g) == is_connected_by_bfs(g), g.edges
+
+    @pytest.mark.parametrize("g, connected", [
+        (Graph(0), True), (Graph(1), True), (Graph(2), False),
+        (Graph(2, [(0, 1)]), True),
+        (Graph(5, [(0, 1), (1, 2), (2, 3)]), False),  # isolated vertex 4
+        (Graph(5, [(1, 2), (2, 3), (3, 4)]), False),  # isolated vertex 0
+        (Graph(8, [(i, (i + 1) % 4) for i in range(4)]
+               + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]), False),
+        (Graph(8, [(i, (i + 1) % 4) for i in range(4)]
+               + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+               + [(3, 4)]), True),
+    ])
+    def test_small_cases(self, g, connected):
+        assert is_connected(g) is connected
+        assert is_connected_by_bfs(g) is connected
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_bfs_on_random_edges(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=20))
+        possible = list(combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(possible),
+                                   max_size=2 * n)) if possible else []
+        g = Graph(n, edges)
+        assert is_connected(g) == is_connected_by_bfs(g)
 
 
 class TestGraph6:
