@@ -14,8 +14,6 @@ import hashlib
 import itertools
 import json
 import os
-import platform
-import random
 import sys
 import time
 
@@ -107,7 +105,7 @@ def _report(args: argparse.Namespace, g: Graph, results: dict,
         "input": {"digest": _digest(g), "n": g.n, "edges": len(g.edges)},
         "results": results,
         "versions": {"halinkit": __version__,
-                     "python": platform.python_version()},
+                     "python": sys.version.split()[0]},
         "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
     }
 
@@ -269,6 +267,7 @@ def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutatio
     r = ``randrange(|G|)``, element r of :meth:`PermGroup.elements`, built
     by the chain on first use.  Equal draws share one object.  r is the first
     ``getrandbits(|G|.bit_length())`` below |G|, as in CPython 3.10-3.13."""
+    import random  # only --triples samples
     chain = group.chain()
     order, rng = chain.order(), random.Random(seed)
     bits = map(rng.getrandbits, itertools.repeat(order.bit_length()))

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
+
+from .record import Record
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -120,8 +121,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class TruncatedFamily:
+class TruncatedFamily(Record):
     """A finite depth-D prefix of an infinite graph.
 
     ``boundary`` is the set of vertices at the cut depth D; constructions
@@ -129,12 +129,9 @@ class TruncatedFamily:
     record each vertex's depth as a decimal string.
     """
 
-    kind: str
-    depth: int
-    graph: Graph
-    boundary: frozenset[int]
+    __slots__ = ("kind", "depth", "graph", "boundary")
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not is_connected(self.graph):
             raise ValueError("truncated family graph must be connected")
         labels = self.graph.labels

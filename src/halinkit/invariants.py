@@ -11,10 +11,10 @@ the least vertex index, so results are reproducible.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .groups import PermGroup
 from .perms import Permutation
+from .record import Record
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
@@ -30,8 +30,7 @@ class BudgetExceededError(RuntimeError):
         self.size = size
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """The two size bounds attached to a base of size n.
 
     ``cost_bound`` caps the final distinguishing set produced by the greedy
@@ -40,10 +39,7 @@ class Bounds:
     the binary expansion of n.
     """
 
-    n: int
-    popcount: int
-    cost_bound: int
-    chain_bound: int
+    __slots__ = ("n", "popcount", "cost_bound", "chain_bound")
 
     def to_json(self) -> dict:
         return {"n": self.n, "popcount": self.popcount,
@@ -61,8 +57,7 @@ def bounds(n: int) -> Bounds:
     return Bounds(n, b, cost, chain)
 
 
-@dataclass(frozen=True)
-class StabilizerChain:
+class StabilizerChain(Record):
     """Record of a greedy run Y_0 = base, Y_i = Y_{i-1} + one vertex.
 
     ``orders`` holds |setwise stabilizer of Y_i| for i = 0..k and must be
@@ -70,10 +65,7 @@ class StabilizerChain:
     ``stalled`` marks runs where no vertex could cut the stabilizer further.
     """
 
-    base: tuple[int, ...]
-    added: tuple[int, ...]
-    orders: tuple[int, ...]
-    stalled: bool
+    __slots__ = ("base", "added", "orders", "stalled")
 
     @property
     def final_set(self) -> tuple[int, ...]:

@@ -24,24 +24,23 @@ depth can host.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import NamedTuple
+from operator import eq
 
 from .graphs import TruncatedFamily
 from .perms import Permutation
+from .record import Record
 from .topology import Exhaustion
 
 
-@dataclass(frozen=True)
-class EpsilonWord:
+class EpsilonWord(Record):
     """A finite 0/1 sign word; prefix stand-in for an infinite sign sequence."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.bits) < 1:
             raise ValueError("sign word must have length >= 1")
         if not all(b in (0, 1) for b in self.bits):
@@ -59,8 +58,7 @@ class EpsilonWord:
         return self.bits[i]
 
 
-@dataclass(frozen=True)
-class ConstructionState:
+class ConstructionState(Record):
     """Completed rounds of the construction plus the final closure set.
 
     ``fsets`` holds F_0 .. F_R for R completed rounds (one more set than
@@ -70,11 +68,7 @@ class ConstructionState:
     exhausted.
     """
 
-    family: TruncatedFamily
-    fsets: tuple[frozenset[int], ...]
-    phis: tuple[Permutation, ...]
-    xs: tuple[int, ...]
-    requested: int
+    __slots__ = ("family", "fsets", "phis", "xs", "requested")
 
     @property
     def rounds_completed(self) -> int:
@@ -280,15 +274,11 @@ def alpha_inverse_perm(state: ConstructionState,
     return alpha_perm(state, word).inverse()
 
 
-class PairWitness(NamedTuple):
+class PairWitness(namedtuple("PairWitness", "word_a word_b first_diff "
+                             "vertex image_a image_b")):
     """A vertex separating the maps of two sign words (an immutable tuple)."""
 
-    word_a: tuple[int, ...]
-    word_b: tuple[int, ...]
-    first_diff: int
-    vertex: int
-    image_a: int
-    image_b: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"word_a": list(self.word_a), "word_b": list(self.word_b),
@@ -298,13 +288,19 @@ class PairWitness(NamedTuple):
 
 class PairCertificate(Sequence):
     """The pair witnesses of ``verify_distinctness``, kept implicit: the
-    2^K words, each level's mover (None if phi_k fixes F_{k+1}) and the
-    2^K x K table of their images.  Iteration yields the same witnesses in
-    the same order as listing every pair would; indexing lists them once.
-    """
+    2^K words, each level's mover (None if phi_k fixes F_{k+1}) and its
+    images under words 0..2^h-1 when rounds h.. fix it, a period column.
+    Iteration yields the same witnesses in the same order as listing every
+    pair would; indexing lists them once."""
 
-    def __init__(self, words, movers, images):
-        self.words, self.movers, self.images = words, movers, images
+    def __init__(self, words, movers, periods):
+        self.words, self.movers, self.periods = words, movers, periods
+
+    @cached_property
+    def images(self) -> list[list]:
+        """The 2^K x K table: row i holds word i's images of the movers."""
+        n = len(self.words)
+        return [list(r) for r in zip(*(p * (n // len(p)) for p in self.periods))]
 
     def __len__(self) -> int:
         K = len(self.movers)  # level k: 2^k prefixes x 2^(K-k-1) squared
@@ -329,18 +325,17 @@ class PairCertificate(Sequence):
         return self._listed[i]
 
     def witnessed(self) -> int:
-        """Pairs with distinct images, in O(K * 2^K): per level k and low
-        bits p, an image shared by A words with bit k = 0 and B with bit
-        k = 1 takes A * B pairs off the level's count."""
-        total = len(self)
-        for k, v in enumerate(self.movers):
-            if v is None:
-                continue
-            column, half = [row[k] for row in self.images], 1 << k
-            for p in range(half):
-                b = Counter(column[p + half::2 * half])
-                total -= sum(n * b[x] for x, n in
-                             Counter(column[p::2 * half]).items())
+        """Pairs with distinct images: level k pairs the words with bit k =
+        0 and 1 and equal lower bits, which the rotations of its period by
+        2^k + j * 2^(k+1) line up, each pair twice (one rotation when
+        h = k + 1, as built).  A period entry stands for 2^(K-h) words."""
+        K, total = len(self.movers), len(self)
+        for k, (v, period) in enumerate(zip(self.movers, self.periods)):
+            if v is not None:
+                h, half = len(period).bit_length() - 1, 1 << k
+                twice = sum(sum(map(eq, period, period[r:] + period[:r]))
+                            for r in range(half, len(period), 2 * half))
+                total -= (twice // 2) << 2 * (K - h)
         return total
 
 
@@ -350,9 +345,10 @@ def verify_distinctness(state: ConstructionState,
 
     For words first differing at bit k the witness lives in F_{k+1} and is
     moved by phi_k; its images under the two words must differ.  The
-    rounds after k fix F_{k+1}, so a level's column repeats 2^(k+1) images;
-    it goes into a lazy ``PairCertificate`` of the C(2^K, 2) pairs, whose
-    ``witnessed()`` count the caller should check covers every pair.
+    rounds after k fix F_{k+1}, so a level's images repeat with period
+    2^(k+1) words, built by one interleave per round; the periods go into a
+    lazy ``PairCertificate`` of the C(2^K, 2) pairs, whose ``witnessed()``
+    count the caller should check covers every pair.
     """
     K = state.rounds_completed if rounds is None else rounds
     if K < 1 or K > state.rounds_completed:
@@ -361,12 +357,15 @@ def verify_distinctness(state: ConstructionState,
     movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
                   default=None) for k in range(K)]
     words = [w[::-1] for w in itertools.product((0, 1), repeat=K)]  # LSB first
-    columns = []
+    periods = []
     for v in movers:  # rounds h.. fix v, so its images repeat with period 2^h
         h = 0 if v is None else 1 + max(j for j in range(K) if state.phis[j](v) != v)
-        columns.append([None if v is None else _forward(state.phis, words[i], h - 1, v)
-                        for i in range(2 ** h)] * 2 ** (K - h))
-    return PairCertificate(words, movers, [list(row) for row in zip(*columns)])
+        period = [v]  # for j = h..0: v's images under bits j..h-1 of the words
+        for phi in reversed(state.phis[:h]):
+            period = list(itertools.chain.from_iterable(
+                zip(period, map(phi.images.__getitem__, period))))
+        periods.append(period)
+    return PairCertificate(words, movers, periods)
 
 
 def verify_finitary(state: ConstructionState, vertices: Sequence[int],

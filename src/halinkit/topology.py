@@ -15,7 +15,6 @@ only when the last set covers the whole domain.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from operator import itemgetter
 
 from .perms import Permutation
@@ -72,6 +71,7 @@ def confluent(e: Exhaustion, a: Permutation, b: Permutation) -> int | None:
 
 def dist(e: Exhaustion, a: Permutation, b: Permutation) -> Fraction:
     """2^(-confluent), exactly; zero when the permutations agree on all sets."""
+    from fractions import Fraction  # only distances need it, not the CLI's import
     c = confluent(e, a, b)
     if c is None:
         return Fraction(0)

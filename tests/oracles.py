@@ -6,6 +6,7 @@ stabilizers it is meant to check.  The ``*_by_*`` functions are the plain
 forms of faster library code, kept as references for differential tests.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 
@@ -455,16 +456,10 @@ def ultrametric_violations_by_fractions(e, triples, dist):
     return violations
 
 
-def pair_witnesses_by_pairs(state, K):
-    """Every pair of length-K sign words, listed one PairWitness at a time.
-
-    For words first differing at bit k the witness is the least vertex of
-    F_{k+1} moved by phi_k, with its images under both words; pairs whose
-    level has no such vertex get no witness.  Words are ordered by the
-    integer whose bit i is the word's bit i, pairs as (ia, ib), ia < ib.
-    """
-    from halinkit.limitsim import PairWitness
-
+def _mover_table(state, K):
+    """Per level k the least vertex of F_{k+1} moved by phi_k (or None),
+    the 2^K words ordered by the integer whose bit i is the word's bit i,
+    and every word's image of every mover under all K rounds."""
     def forward(bits, v):
         for i in range(K - 1, -1, -1):
             if bits[i]:
@@ -476,6 +471,20 @@ def pair_witnesses_by_pairs(state, K):
     words = [tuple((m >> i) & 1 for i in range(K)) for m in range(2 ** K)]
     images = [[None if v is None else forward(bits, v) for v in movers]
               for bits in words]
+    return movers, words, images
+
+
+def pair_witnesses_by_pairs(state, K):
+    """Every pair of length-K sign words, listed one PairWitness at a time.
+
+    For words first differing at bit k the witness is the least vertex of
+    F_{k+1} moved by phi_k, with its images under both words; pairs whose
+    level has no such vertex get no witness.  Words are ordered by the
+    integer whose bit i is the word's bit i, pairs as (ia, ib), ia < ib.
+    """
+    from halinkit.limitsim import PairWitness
+
+    movers, words, images = _mover_table(state, K)
     out = []
     for ia, wa in enumerate(words):
         for ib in range(ia + 1, len(words)):
@@ -487,6 +496,25 @@ def pair_witnesses_by_pairs(state, K):
             out.append(PairWitness(wa, words[ib], k, v, images[ia][k],
                                    images[ib][k]))
     return out
+
+
+def witnessed_by_counters(state, K):
+    """The distinct-image pair count that ``PairCertificate.witnessed()``
+    replaced, off the all-rounds image table: per level k and low bits p,
+    an image shared by A words with bit k = 0 and B words with bit k = 1
+    takes A * B pairs off the level's C(2^K, 2) share."""
+    movers, words, images = _mover_table(state, K)
+    total = 0
+    for k, v in enumerate(movers):
+        if v is None:
+            continue
+        total += 1 << (2 * K - k - 2)
+        column, half = [row[k] for row in images], 1 << k
+        for p in range(half):
+            b = Counter(column[p + half::2 * half])
+            total -= sum(n * b[x] for x, n in
+                         Counter(column[p::2 * half]).items())
+    return total
 
 
 def refine_by_counts(g, partition):

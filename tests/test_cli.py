@@ -2,6 +2,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import random
 import re
 import subprocess
@@ -456,3 +457,47 @@ class TestDeterminism:
             stripped.pop("wall_time_ms")
             outputs.add(json.dumps(stripped, sort_keys=True))
         assert len(outputs) == 1
+
+
+class TestImportPath:
+    """``import halinkit.cli`` loads only what every command needs; the
+    modules a few commands need are imported where they are used."""
+
+    DEFERRED = ("dataclasses", "inspect", "typing", "fractions", "decimal",
+                "random", "platform")
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import halinkit.cli\n"
+        "loaded = sorted(m for m in sys.argv[2:] if m in sys.modules)\n"
+        "from halinkit.perms import Permutation\n"
+        "from halinkit.topology import Exhaustion, dist\n"
+        "d = dist(Exhaustion.prefixes(3), Permutation([0, 2, 1]),\n"
+        "         Permutation.identity(3))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = halinkit.cli.main(['topology', '--family', 'cycle',\n"
+        "        '--n', '6', '--exhaustion', '0,1|0,1,2,3', '--triples',\n"
+        "        '20', '--seed', '5'])\n"
+        "print(json.dumps({'loaded': loaded, 'dist': repr(d), 'code': code,\n"
+        "    'results': json.loads(out.getvalue())['results']}))\n")
+
+    def test_cli_import_defers_the_heavy_modules(self):
+        src = os.path.dirname(os.path.dirname(halinkit.__file__))
+        done = subprocess.run(  # -S: no site hooks that import on their own
+            [sys.executable, "-S", "-c", self.PROBE, src, *self.DEFERRED],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout)
+        assert probe["loaded"] == []
+        assert probe["dist"] == "Fraction(1, 2)"
+        assert probe["code"] == 0
+        assert probe["results"]["ultrametric"] == {"triples": 20,
+                                                  "violations": []}
+
+    def test_report_python_is_platform_python_version(self, capsys):
+        code, out, _ = run_cli(capsys, "aut", "--family", "petersen")
+        assert code == 0
+        assert payload(out)["versions"] == {
+            "halinkit": halinkit.__version__,
+            "python": platform.python_version()}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections.abc import Sequence
 
@@ -14,7 +13,7 @@ from halinkit.limitsim import (ConstructionState, EpsilonWord, PairCertificate,
 from halinkit.perms import Permutation
 
 from oracles import (pair_witnesses_by_pairs, tree_swap_by_pairs,
-                     tree_swap_site_by_scan)
+                     tree_swap_site_by_scan, witnessed_by_counters)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +188,8 @@ class TestRunConstruction:
             images = list(range(len(phi.images)))
             images[v], images[phi(v)] = phi(v), v
             swaps.append(Permutation(images))
-        assert dataclasses.replace(st, phis=tuple(swaps)).inverse_consistency()
+        assert ConstructionState(st.family, st.fsets, tuple(swaps), st.xs,
+                                 st.requested).inverse_consistency()
 
 
 class TestDepthBudget:
@@ -359,6 +359,34 @@ class TestPairCertificate:
             short += witnessed < len(expected)
             idle_levels += len(expected) < 2 ** K * (2 ** K - 1) // 2
         assert short > 10 and idle_levels > 10  # both cases are exercised
+
+    @pytest.mark.parametrize("kind, K", [("binary-tree", K) for K in range(1, 9)]
+                             + [("comb", K) for K in range(1, 11)])
+    def test_constructed_periods_match_counters(self, kind, K):
+        # later rounds fix each level's mover: one block per period column
+        st = run_construction(make_family(kind, depth=depth_budget(kind, K)),
+                              K)
+        cert = verify_distinctness(st, K)
+        assert [len(p) for p in cert.periods] == [2 << k for k in range(K)]
+        assert cert.witnessed() == witnessed_by_counters(st, K) == len(cert)
+
+    def test_witnessed_matches_counters_on_long_periods(self):
+        # random rounds move earlier levels' movers, so periods run past
+        # 2^(k+1) and every block's low half meets every block's high half
+        long_periods = 0
+        for seed in range(200):
+            K = 1 + seed % 8
+            st = _hand_built_state(1000 + seed, K)
+            cert = verify_distinctness(st)
+            assert cert.witnessed() == witnessed_by_counters(st, K)
+            if K <= 5:
+                assert cert.witnessed() == sum(
+                    w.image_a != w.image_b
+                    for w in pair_witnesses_by_pairs(st, K))
+            long_periods += sum(
+                v is not None and len(p) > 2 << k
+                for k, (v, p) in enumerate(zip(cert.movers, cert.periods)))
+        assert long_periods > 100
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_words_are_the_epsilon_words_in_index_order(self, K):
