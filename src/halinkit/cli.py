@@ -21,14 +21,30 @@ from . import __version__
 from .autgroup import automorphism_group
 from .graphs import (FAMILY_NAMES, Graph, Graph6Error, TruncatedFamily,
                      from_json, make_family, parse_graph6)
-from .groups import PermGroup
-from .invariants import (BudgetExceededError, DEFAULT_SUBSET_BUDGET, bounds,
-                         determining_number, distinguishing_cost,
-                         greedy_distinguishing_chain, is_base, motion)
-from .limitsim import alpha_perm, run_construction, verify_distinctness
+from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
 from .perms import Permutation
-from .topology import Exhaustion, check_cauchy, check_ultrametric, confluent, \
-    dist, dist_star
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``halinkit.<module>.<name>`` that imports the module on
+    its first call, so that a command compiles only the modules it runs.
+    Handlers call these names here, and tracing tools wrap them here."""
+    def forward(*args, **kwargs):
+        from importlib import import_module
+        target = getattr(import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+determining_number, distinguishing_cost, motion, greedy_distinguishing_chain = (
+    _deferred("invariants", name) for name in (
+        "determining_number", "distinguishing_cost", "motion",
+        "greedy_distinguishing_chain"))
+run_construction, verify_distinctness, alpha_perm = (_deferred("limitsim", name)
+    for name in ("run_construction", "verify_distinctness", "alpha_perm"))
+check_ultrametric, check_cauchy, dist = (_deferred("topology", name)
+    for name in ("check_ultrametric", "check_cauchy", "dist"))
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,8 +75,29 @@ def _budget() -> int:
     return budget
 
 
+def _family_size(args: argparse.Namespace) -> tuple[int, int]:
+    """(vertices, edges) of the --family graph in closed form.  A missing or
+    negative size counts as 0, which the family then rejects."""
+    n, d = max(args.n or 0, 0), max(args.depth or 0, 0)
+    tree = 2 ** (min(d, 62) + 1)  # a tree deeper than 62 is over any limit
+    return {"path": (n, n - 1), "cycle": (n, n),
+            "complete": (n, n * (n - 1) // 2),
+            "complete-bipartite": (n, n // 2 * (n - n // 2)),
+            "petersen": (10, 15), "binary-tree": (tree - 1, tree - 2),
+            "comb": (3 * d + 1, 3 * d)}[args.family]
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    if vertices + edges > DEFAULT_SUBSET_BUDGET:
+        raise ResourceLimitError(
+            f"graph has {vertices} vertices and {edges} edges, more than "
+            f"{DEFAULT_SUBSET_BUDGET} together")
+
+
 def _load_graph(args: argparse.Namespace) -> Graph | TruncatedFamily:
+    # a family is refused by its size before it is built, --input after
     if args.family is not None:
+        _check_size(*_family_size(args))
         try:
             return make_family(args.family, n=args.n, depth=args.depth)
         except ValueError as exc:
@@ -79,13 +116,16 @@ def _load_graph(args: argparse.Namespace) -> Graph | TruncatedFamily:
     # graph6 never holds a double quote, but its size byte for n = 60 is '{'
     if stripped.startswith("{") and '"' in stripped:
         try:
-            return from_json(stripped)
+            g = from_json(stripped)
         except (ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"bad JSON graph: {exc}") from exc
-    try:
-        return parse_graph6(stripped)
-    except Graph6Error as exc:
-        raise InputError(f"bad graph6 input: {exc}") from exc
+    else:
+        try:
+            g = parse_graph6(stripped)
+        except Graph6Error as exc:
+            raise InputError(f"bad graph6 input: {exc}") from exc
+    _check_size(g.n, len(g.edges))
+    return g
 
 
 def _as_graph(obj: Graph | TruncatedFamily) -> Graph:
@@ -213,6 +253,7 @@ def _cmd_greedy(args) -> tuple[Graph, dict, int]:
     chain = greedy_distinguishing_chain(group, base)
     results: dict = {"chain": chain.to_json()}
     if chain.base:
+        from .invariants import bounds
         b = bounds(len(chain.base))
         results["bounds"] = b.to_json()
         results["within_bound"] = (
@@ -252,16 +293,6 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
     return family.graph, results, EXIT_OK
 
 
-def _parse_exhaustion(raw: str, degree: int) -> Exhaustion:
-    sets = []
-    for part in raw.split("|"):
-        sets.append(_parse_vertex_list(part))
-    try:
-        return Exhaustion(degree, sets)
-    except ValueError as exc:
-        raise InputError(f"bad exhaustion: {exc}") from exc
-
-
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
     """``count`` seeded, uniformly random group elements: for each draw
     r = ``randrange(|G|)``, element r of :meth:`PermGroup.elements`, built
@@ -289,7 +320,12 @@ def _cmd_topology(args) -> tuple[Graph, dict, int]:
         raise InputError("topology needs --exhaustion \"i,j|i,j,k|...\"")
     if args.triples < 0:
         raise InputError(f"--triples must be >= 0, got {args.triples}")
-    exhaustion = _parse_exhaustion(args.exhaustion, g.n)
+    from .topology import Exhaustion, confluent, dist_star
+    try:
+        exhaustion = Exhaustion(g.n, map(_parse_vertex_list,
+                                         args.exhaustion.split("|")))
+    except ValueError as exc:
+        raise InputError(f"bad exhaustion: {exc}") from exc
     results: dict = {
         "exhaustion": [sorted(s) for s in exhaustion.sets],
         "covers": exhaustion.covers,

@@ -15,6 +15,9 @@ from itertools import chain, compress, count, repeat
 from .record import Record
 
 GRAPH6_HEADER = ">>graph6<<"
+# each graph6 data byte: its six bits, most significant first
+_SIX_BITS = {chr(v + 63): tuple(v >> s & 1 for s in range(5, -1, -1))
+             for v in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -205,24 +208,17 @@ def parse_graph6(text: str) -> Graph:
             len(data))
     if have > nbytes:
         raise Graph6Error("trailing data after graph6 record", offset + nbytes)
-    bits: list[int] = []
-    for k in range(nbytes):
-        v = ord(data[offset + k]) - 63
-        if not 0 <= v <= 63:
-            raise Graph6Error(f"byte out of range: {data[offset + k]!r}",
-                              offset + k)
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
+    rows = list(map(_SIX_BITS.get, data[offset:]))
+    if None in rows:
+        k = offset + rows.index(None)
+        raise Graph6Error(f"byte out of range: {data[k]!r}", k)
+    bits = list(chain.from_iterable(rows))
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits", offset + nbits // 6)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    # the pairs (i, j), i < j, column by column: the order of the bits
+    columns = range(1, n)
+    pairs = chain.from_iterable(map(zip, map(range, columns), map(repeat, columns)))
+    return Graph(n, compress(pairs, bits))
 
 
 def encode_graph6(g: Graph, header: bool = False) -> str:

@@ -18,6 +18,20 @@ from operator import itemgetter
 from .perms import Permutation
 
 
+DEFAULT_SUBSET_BUDGET = 10_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive subset search hit its budget before finishing."""
+
+    def __init__(self, examined: int, budget: int, size: int):
+        super().__init__(f"subset search budget exhausted at size {size} "
+                         f"({examined} > {budget})")
+        self.examined = examined
+        self.budget = budget
+        self.size = size
+
+
 class GroupTooLargeError(ValueError):
     """Raised when an exhaustive enumeration would exceed its limit."""
 

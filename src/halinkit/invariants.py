@@ -12,22 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .groups import PermGroup
+from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
 from .perms import Permutation
 from .record import Record
-
-DEFAULT_SUBSET_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive subset search hit its budget before finishing."""
-
-    def __init__(self, examined: int, budget: int, size: int):
-        super().__init__(f"subset search budget exhausted at size {size} "
-                         f"({examined} > {budget})")
-        self.examined = examined
-        self.budget = budget
-        self.size = size
 
 
 class Bounds(Record):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -495,9 +496,201 @@ class TestImportPath:
         assert probe["results"]["ultrametric"] == {"triples": 20,
                                                   "violations": []}
 
+    EAGER = ["halinkit", "halinkit.autgroup", "halinkit.cli",
+             "halinkit.graphs", "halinkit.groups", "halinkit.perms",
+             "halinkit.record"]
+    # names that tracing tools wrap in the cli namespace as soon as it is
+    # imported; a missing one would drop its metrics without an error
+    CLI_NAMES = ("main", "parse_graph6", "from_json", "make_family",
+                 "automorphism_group", "run_construction",
+                 "verify_distinctness", "alpha_perm", "check_ultrametric",
+                 "check_cauchy", "dist", "determining_number",
+                 "distinguishing_cost", "motion",
+                 "greedy_distinguishing_chain")
+    COMMAND_PROBE = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('halinkit'))\n"
+        "import halinkit.cli\n"
+        "at_import = loaded()\n"
+        "missing = [n for n in json.loads(sys.argv[2])\n"
+        "           if not callable(vars(halinkit.cli).get(n))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = halinkit.cli.main(sys.argv[3:])\n"
+        "print(json.dumps({'import': at_import, 'missing': missing,\n"
+        "                  'code': code, 'run': loaded()}))\n")
+
+    def probe_command(self, *argv):
+        src = os.path.dirname(os.path.dirname(halinkit.__file__))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", self.COMMAND_PROBE, src,
+             json.dumps(self.CLI_NAMES), *argv],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout)
+        assert probe["code"] == 0
+        return probe
+
+    def test_cli_import_loads_only_what_every_command_runs(self):
+        probe = self.probe_command("aut", "--family", "petersen")
+        assert probe["import"] == self.EAGER
+        assert probe["missing"] == []
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["aut", "--family", "cycle", "--n", "6"], []),
+        (["base", "--family", "cycle", "--n", "6"], ["invariants"]),
+        (["limit-sim", "--family", "comb", "--depth", "6", "--k", "3"],
+         ["limitsim", "topology"]),
+        (["topology", "--family", "cycle", "--n", "6", "--exhaustion",
+          "0,1|0,1,2,3", "--triples", "20"], ["topology"]),
+    ], ids=["aut", "base", "limit-sim", "topology"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, loads):
+        probe = self.probe_command(*argv)
+        assert probe["run"] == sorted(
+            self.EAGER + [f"halinkit.{m}" for m in loads])
+
+    def test_package_import_loads_submodules_on_first_use(self):
+        probe = ("import json, sys\n"
+                 "sys.path.insert(0, sys.argv[1])\n"
+                 "def loaded():\n"
+                 "    return sorted(m for m in sys.modules if 'halinkit' in m)\n"
+                 "import halinkit\n"
+                 "bare = loaded()\n"
+                 "limitsim = halinkit.limitsim\n"
+                 "perm = halinkit.Permutation\n"
+                 "print(json.dumps({'bare': bare, 'after': loaded(),\n"
+                 "    'same': [limitsim is sys.modules['halinkit.limitsim'],\n"
+                 "             perm is sys.modules['halinkit.perms'].Permutation]}))\n")
+        src = os.path.dirname(os.path.dirname(halinkit.__file__))
+        done = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["bare"] == ["halinkit"]
+        assert result["after"] == ["halinkit", "halinkit.graphs",
+                                   "halinkit.limitsim", "halinkit.perms",
+                                   "halinkit.record", "halinkit.topology"]
+        assert result["same"] == [True, True]
+
     def test_report_python_is_platform_python_version(self, capsys):
         code, out, _ = run_cli(capsys, "aut", "--family", "petersen")
         assert code == 0
         assert payload(out)["versions"] == {
             "halinkit": halinkit.__version__,
             "python": platform.python_version()}
+
+
+class TestLazyExports:
+    """``halinkit`` exports its names through a module ``__getattr__``."""
+
+    def test_star_import_binds_the_defining_modules_objects(self):
+        namespace: dict = {}
+        exec("from halinkit import *", namespace)
+        assert namespace["__version__"] == halinkit.__version__ == "0.1.0"
+        for name in halinkit.__all__[1:]:
+            obj = namespace[name]
+            assert obj.__module__.startswith("halinkit."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            assert getattr(halinkit, name) is obj, name
+
+    def test_dir_lists_every_export(self):
+        assert set(halinkit.__all__) <= set(dir(halinkit))
+        assert len(set(halinkit.__all__)) == len(halinkit.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            halinkit.no_such_name
+        assert not hasattr(halinkit, "no_such_name")
+        with pytest.raises(ImportError):
+            from halinkit import no_such_name  # noqa: F401
+
+    def test_budget_error_is_one_object(self):
+        import halinkit.groups
+        import halinkit.invariants
+        assert (halinkit.BudgetExceededError
+                is halinkit.invariants.BudgetExceededError
+                is halinkit.groups.BudgetExceededError)
+        assert (cli.DEFAULT_SUBSET_BUDGET
+                == halinkit.invariants.DEFAULT_SUBSET_BUDGET
+                == halinkit.groups.DEFAULT_SUBSET_BUDGET == 10 ** 7)
+
+    def test_cli_stand_ins_call_the_library(self):
+        group = automorphism_group(cycle(6))
+        from halinkit import invariants
+        assert cli.determining_number(group) == invariants.determining_number(group)
+        assert cli.motion.__name__ == "motion"
+
+
+class TestGraphSizeLimit:
+    """A graph with more vertices plus edges than DEFAULT_SUBSET_BUDGET is
+    refused with exit 4: a family before it is built, --input once parsed."""
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["limit-sim", "--family", "binary-tree", "--depth", "40", "--k", "2"],
+         "2199023255551 vertices and 2199023255550 edges"),
+        (["aut", "--family", "binary-tree", "--depth", str(10 ** 12)],
+         "9223372036854775807 vertices and 9223372036854775806 edges"),
+        (["aut", "--family", "complete", "--n", "100000"],
+         "100000 vertices and 4999950000 edges"),
+        (["motion", "--family", "complete-bipartite", "--n", "6400"],
+         "6400 vertices and 10240000 edges"),
+        (["base", "--family", "path", "--n", "5000001"],
+         "5000001 vertices and 5000000 edges"),
+        (["topology", "--family", "cycle", "--n", "5000001",
+          "--exhaustion", "0"], "5000001 vertices and 5000001 edges"),
+        (["cost", "--family", "comb", "--depth", "1666667"],
+         "5000002 vertices and 5000001 edges"),
+    ])
+    def test_family_is_refused_before_it_is_built(self, capsys, argv, counts):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.process_time() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"halinkit: resource limit: graph has {counts}, "
+                       "more than 10000000 together\n")
+
+    @pytest.mark.parametrize("text, counts", [
+        ('{"n": 1000000000, "edges": []}', "1000000000 vertices and 0 edges"),
+        ('{"n": 9999999, "edges": [[0, 1], [1, 2]]}',
+         "9999999 vertices and 2 edges"),
+    ])
+    def test_input_is_refused_once_parsed(self, capsys, tmp_path, text, counts):
+        big = tmp_path / "big.json"
+        big.write_text(text)
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "aut", "--input", str(big))
+        assert time.process_time() - start < 1
+        assert (code, out) == (4, "")
+        assert f"graph has {counts}, more than 10000000 together" in err
+
+    def test_the_limit_counts_vertices_plus_edges(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_SUBSET_BUDGET", 99)
+        assert run_cli(capsys, "aut", "--family", "path", "--n", "50")[0] == 0
+        code, out, err = run_cli(capsys, "aut", "--family", "path", "--n", "51")
+        assert (code, out) == (4, "")
+        assert "51 vertices and 50 edges, more than 99 together" in err
+
+    def test_family_sizes_in_closed_form_match_the_built_graphs(self):
+        import argparse
+        from halinkit.graphs import FAMILY_NAMES, make_family
+        for name in FAMILY_NAMES:
+            for size in range(1, 14):
+                args = argparse.Namespace(family=name, n=size, depth=size)
+                try:
+                    built = make_family(name, n=size, depth=size)
+                except ValueError:
+                    continue
+                g = built.graph if hasattr(built, "graph") else built
+                assert cli._family_size(args) == (g.n, len(g.edges)), (name, size)
+
+    @pytest.mark.parametrize("argv", [
+        ["aut", "--family", "complete", "--n", "-100000"],
+        ["aut", "--family", "complete-bipartite", "--n", "-100000"],
+        ["aut", "--family", "binary-tree", "--depth", "-70"],
+        ["aut", "--family", "path"],
+    ])
+    def test_a_size_the_family_rejects_still_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "input error" in err

@@ -235,6 +235,33 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("")
 
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("bad", [" ", "\x7f", "\u00e9"])
+    def test_out_of_range_data_byte_names_its_offset(self, k, bad):
+        code = encode_graph6(cycle(10))  # 'I' and eight data bytes
+        with pytest.raises(Graph6Error, match="byte out of range") as exc:
+            parse_graph6(code[:k] + bad + code[k + 1:])
+        assert exc.value.offset == k
+
+    def test_nonzero_padding_names_the_last_byte(self):
+        # n = 10 has 45 bits: the eighth data byte (offset 8) holds 3 of them
+        code = encode_graph6(cycle(10))  # ends in '_', bits 100000
+        padded = code[:-1] + chr(ord(code[-1]) + 1)  # sets a padding bit
+        with pytest.raises(Graph6Error, match="padding") as exc:
+            parse_graph6(padded)
+        assert exc.value.offset == 8
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 100])
+    def test_parse_matches_networkx_on_random_graphs(self, n):
+        rng = random.Random(n)
+        nxg = nx.gnp_random_graph(n, rng.choice([0.05, 0.3, 0.7]),
+                                  seed=rng.randrange(2 ** 32))
+        code = nx.to_graph6_bytes(nxg, header=False).strip()
+        g = parse_graph6(code.decode())
+        theirs = nx.from_graph6_bytes(code)
+        assert g.n == theirs.number_of_nodes() == n
+        assert g.edges == {tuple(sorted(e)) for e in theirs.edges}
+
     @pytest.mark.parametrize("g", [
         path(1), path(2), path(8), cycle(5), complete(7), petersen(),
         complete_bipartite(3, 4), Graph(4), path(63), cycle(100),

@@ -1,5 +1,7 @@
-"""The README's CLI examples run as written and exit 0."""
+"""The README's CLI examples run as written and exit 0, and its Python
+example runs as a doctest."""
 
+import doctest
 import os
 import re
 import shlex
@@ -35,3 +37,17 @@ def test_readme_cli_example_exits_0(capsys, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("{") and f'"command":"{argv[0]}"' in out
+
+
+def test_readme_python_example_runs_as_a_doctest():
+    """The example imports through the package's lazy exports."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    runner, report = doctest.DocTestRunner(), []
+    for i, block in enumerate(blocks):
+        runner.run(doctest.DocTestParser().get_doctest(
+            block, {}, f"README.md python block {i}", README, 0),
+            out=report.append)
+    assert runner.failures == 0, "".join(report)
+    assert runner.tries >= 4
