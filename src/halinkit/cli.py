@@ -420,9 +420,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"halinkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, ResourceLimitError, RecursionError) as exc:
-        # RecursionError: a recursive search deeper than the stack limit
-        print(f"halinkit: resource limit: {exc}", file=sys.stderr)
+    except (BudgetExceededError, ResourceLimitError, RecursionError,
+            MemoryError) as exc:
+        # a recursive search deeper than the stack limit, or out of memory
+        print(f"halinkit: resource limit: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_EXHAUSTED
     except ValueError as exc:
         print(f"halinkit: precondition failed: {exc}", file=sys.stderr)

@@ -4,9 +4,9 @@ Everything downstream (orders, membership, point and setwise stabilizers,
 exhaustive element listings) runs through the BSGS.  Generators known to be
 strong for a base give the chain directly; any others go through the classic
 deterministic Schreier-Sims procedure, so repeated runs build identical chains.
-A stabilizer query rebases the group's own chain: Schreier-Sims seeded with
-its strong generators and the query points, stopped at the known order.  The
-setwise stabilizer's chain is then read off one coset backtrack.
+A stabilizer query rebases the group's own chain: deterministic swaps of
+adjacent base points bring the query points to the front, with no Schreier-Sims
+run.  The setwise stabilizer's chain is then read off one coset backtrack.
 """
 
 from __future__ import annotations
@@ -47,22 +47,21 @@ class _Chain:
     Level i holds generators of the pointwise stabilizer of base[:i] and the
     transversal of the orbit of base[i] under them, with the orbit sorted in
     ``orbits[i]``.  The pointwise stabilizer of the first m base points is
-    generated by the level-m generator list.
+    generated by ``gens[m]``, for m = 0..len(base); each list holds the next
+    one, so ``gens[0]`` is a strong generating set.  :meth:`rebased` moves
+    given points to the front of the base by swapping adjacent base points.
     """
 
-    __slots__ = ("degree", "base", "gens", "transversals", "orbits",
-                 "strong_gens")
+    __slots__ = ("degree", "base", "gens", "transversals", "orbits")
 
     def __init__(self, degree: int, base: list[int],
                  gens: list[list[Permutation]],
-                 transversals: list[dict[int, Permutation]],
-                 strong_gens: list[Permutation]):
+                 transversals: list[dict[int, Permutation]]):
         self.degree = degree
         self.base = base
         self.gens = gens
         self.transversals = transversals
         self.orbits = [sorted(t) for t in transversals]
-        self.strong_gens = strong_gens
 
     @classmethod
     def read(cls, degree: int, base: Sequence[int],
@@ -74,13 +73,65 @@ class _Chain:
             gens.append(level)
             transversals.append(_orbit_transversal(degree, b, level))
             level = [g for g in level if g(b) == b]
-        return cls(degree, list(base), gens, transversals, list(strong_gens))
+        return cls(degree, list(base), gens + [level], transversals)
+
+    @property
+    def strong_gens(self) -> list[Permutation]:
+        return self.gens[0]
 
     def verified(self) -> "_Chain":
         """The chain; AssertionError unless every generator sifts through."""
         if not all(self.sift(g)[1].is_identity() for g in self.strong_gens):
             raise AssertionError("a strong generator does not sift through")
         return self
+
+    def rebased(self, points: Sequence[int]) -> "_Chain":
+        """A chain of the same group whose base starts with the distinct
+        points, in order.  Points not in the base enter as last levels with
+        orbit {p}; swaps of adjacent base points then move each point up to
+        its place.  A point out of range raises ValueError."""
+        if not all(0 <= p < self.degree for p in points):
+            raise ValueError(f"base points {points} out of range")
+        new = [p for p in points if p not in self.base]
+        e = Permutation.identity(self.degree)
+        chain = _Chain(self.degree, self.base + new,
+                       [list(g) for g in self.gens] + [[] for _ in new],
+                       self.transversals + [{p: e} for p in new])
+        for j, p in enumerate(points):
+            for i in reversed(range(j, chain.base.index(p))):
+                chain._swap(i)
+        return chain
+
+    def _swap(self, i: int) -> None:
+        """Exchange base points b = base[i] and c = base[i+1] in place.
+
+        Level i keeps its group G and takes c's orbit.  Level i+1 becomes
+        G_c, generated by G_{b,c} and, per point a of b's orbit not yet
+        reached, u_i(a) * u_{i+1}(d) if d = u_i(a)^-1(c) is in level i+1's
+        orbit: it fixes c and maps b to a.  The orbit of b is complete at
+        |b^G| * |c^(G_b)| / |c^G| points (Seress 2003, section 5.4)."""
+        b, c = self.base[i], self.base[i + 1]
+        t_b, t_c = self.transversals[i], self.transversals[i + 1]
+        t = _orbit_transversal(self.degree, c, self.gens[i])
+        if len(t) == 1:  # G fixes c: G_c = G, and the levels trade places
+            self.gens[i + 1] = list(self.gens[i])
+            orbit_b = t_b
+        else:
+            size = len(t_b) * len(t_c) // len(t)
+            self.gens[i + 1] = list(self.gens[i + 2])
+            orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
+            for a in self.orbits[i]:
+                if len(orbit_b) == size:
+                    break
+                d = -1 if a in orbit_b else t_b[a].images.index(c)
+                if d in t_c:
+                    g = t_b[a] * t_c[d]
+                    for level in self.gens[:i + 2]:
+                        level.append(g)
+                    orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
+        self.base[i:i + 2] = c, b
+        self.transversals[i:i + 2] = t, orbit_b
+        self.orbits[i:i + 2] = sorted(t), sorted(orbit_b)
 
     def order(self) -> int:
         return math.prod(map(len, self.orbits))
@@ -154,18 +205,9 @@ def _orbit_transversal(degree: int, point: int,
     return t
 
 
-def _schreier_sims(degree: int, generators: Sequence[Permutation],
-                   prefix: Sequence[int] = (),
-                   order: int | None = None) -> _Chain:
-    """Deterministic Schreier-Sims.
-
-    ``prefix`` points are installed as the first base points verbatim (even
-    when redundant) so stabilizer queries can read the chain directly; after
-    the prefix, new base points are chosen as the least point moved by the
-    offending generator.  Given the group's ``order``, the sweep stops as
-    soon as the chain reaches it: basic orbits whose lengths multiply to
-    |G| are the full ones, so the rest of the sweep would add nothing.
-    """
+def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
+    """Deterministic Schreier-Sims: a new base point is the least point
+    moved by the generator that needs it."""
     sgs: list[Permutation] = []
     for g in generators:
         if g.degree != degree:
@@ -174,18 +216,13 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation],
             sgs.append(g)
 
     base: list[int] = []
-    for p in prefix:
-        if not 0 <= p < degree:
-            raise ValueError(f"base point {p} out of range")
-        if p not in base:
-            base.append(p)
     for g in sgs:
         if all(g(b) == b for b in base):
             base.append(min(g.support()))
 
     chain = _Chain.read(degree, base, sgs)
     i = len(base) - 1
-    while i >= 0 and chain.order() != order:
+    while i >= 0:
         stuck: tuple[int, Permutation] | None = None
         t_i = chain.transversals[i]
         for a in chain.orbits[i]:
@@ -295,48 +332,34 @@ class PermGroup:
             raise GroupTooLargeError(order, limit)
         return list(self.chain().walk())
 
-    def _prefixed(self, points: Iterable[int]
-                  ) -> tuple[_Chain, list[Permutation]]:
-        """The chain rebased with the sorted points as its leading base
-        points, and the strong generators fixing every one of them (they
-        generate the pointwise stabilizer of the points).  Every stabilizer
-        query reads this; a point out of range raises ValueError."""
-        ordered = sorted(set(points))
-        # a rebase, not a rebuild: the group's own strong generators seed
-        # Schreier-Sims, which stops once the chain reaches the known order
-        chain = _schreier_sims(self.degree, self.chain().strong_gens,
-                               prefix=ordered, order=self.order())
-        return chain, [g for g in chain.strong_gens
-                       if all(g(p) == p for p in ordered)]
-
     def point_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """Subgroup fixing every given point, read off a prefixed chain."""
+        """Subgroup fixing every given point, read off the group's chain
+        rebased on them; a point out of range raises ValueError."""
         points = frozenset(points)
         if not points:
             return self
-        chain, stab_gens = self._prefixed(points)
-        m = len(points)
-        group = PermGroup(self.degree, stab_gens)
+        chain, m = self.chain().rebased(sorted(points)), len(points)
+        group = PermGroup(self.degree, chain.gens[m])
         group._chain = _Chain(self.degree, chain.base[m:], chain.gens[m:],
-                              chain.transversals[m:], stab_gens)
+                              chain.transversals[m:])
         return group
 
     def set_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """Subgroup preserving the given set, with its chain read off one
-        backtrack over the coset products of a prefixed chain.
+        backtrack over the coset products of the rebased chain.
 
         The set's points lead the base.  A product u_j...u_{m-1} of
         transversal elements from level j on, with u_j(base[j]) = a and
         every decided image inside the set, preserves the set, fixes
         base[:j] and maps base[j] to a.  One such product per (j, a), the
         first the backtrack reaches, together with the pointwise stabilizer's
-        generators is a strong generating set for the prefixed base.
+        generators is a strong generating set for the rebased base.
         """
         target = frozenset(points)
         if not target:
             return self
-        chain, gens = self._prefixed(target)
-        m = len(target)
+        chain, m = self.chain().rebased(sorted(target)), len(target)
+        gens = list(chain.gens[m])
 
         def keep(level: int, w: Permutation, a: int) -> bool:
             return w(a) in target

@@ -216,14 +216,60 @@ def elements_by_products(group):
     return elems
 
 
+def prefixed_schreier_sims(group, points):
+    """A chain of the group whose base starts with the sorted points, the
+    reference for ``_Chain.rebased``: deterministic Schreier-Sims seeded
+    with the group's strong generators, the points installed first as base
+    points (even when redundant), new base points the least point moved by
+    the offending generator, and the sweep stopped once the chain reaches
+    the group's order."""
+    from halinkit.groups import _Chain
+
+    degree, order = group.degree, group.order()
+    sgs = []
+    for g in group.chain().strong_gens:
+        if not g.is_identity() and g not in sgs:
+            sgs.append(g)
+    base = sorted(set(points))
+    for g in sgs:
+        if all(g(b) == b for b in base):
+            base.append(min(g.support()))
+    chain = _Chain.read(degree, base, sgs)
+    i = len(base) - 1
+    while i >= 0 and chain.order() != order:
+        stuck = None
+        t_i = chain.transversals[i]
+        for a in chain.orbits[i]:
+            for g in chain.gens[i]:
+                schreier = t_i[g(a)].inverse() * (g * t_i[a])
+                if not schreier.is_identity():
+                    j, residue = chain.sift(schreier, i + 1)
+                    if not residue.is_identity():
+                        stuck = (j, residue)
+                        break
+            if stuck:
+                break
+        if stuck is None:
+            i -= 1
+            continue
+        j, residue = stuck
+        sgs.append(residue)
+        if j == len(base):
+            base.append(min(residue.support()))
+        chain = _Chain.read(degree, base, sgs)
+        i = j
+    return chain.verified()
+
+
 def set_stabilizer_by_first_leaf(group, points):
     """The generator list of ``group.set_stabilizer(points)`` by a
     recursive backtrack: the pointwise stabilizer's generators, then per
     level j and image a off the identity path the first coset product
     from level j on that keeps every decided image in the set."""
     target = frozenset(points)
-    chain, gens = group._prefixed(target)
     m = len(target)
+    chain = group.chain().rebased(sorted(target))
+    gens = list(chain.gens[m])
 
     def first_leaf(level, w):
         if level == m:

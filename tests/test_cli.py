@@ -68,6 +68,16 @@ class TestAut:
         assert err.startswith(
             "halinkit: resource limit: maximum recursion depth exceeded")
 
+    def test_out_of_memory_exit4(self, capsys, monkeypatch):
+        def exhausted(g):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "automorphism_group", exhausted)
+        code, out, err = run_cli(capsys, "aut", "--family", "cycle",
+                                 "--n", "5")
+        assert (code, out) == (4, "")
+        assert err == "halinkit: resource limit: out of memory\n"
+
     def test_missing_input_exit2(self, capsys):
         code, _, err = run_cli(capsys, "aut")
         assert code == 2

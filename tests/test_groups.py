@@ -4,16 +4,17 @@ import random
 import pytest
 
 from halinkit.autgroup import automorphism_group
-from halinkit.graphs import (binary_tree, complete, complete_bipartite, cycle,
-                             petersen)
+from halinkit.graphs import (Graph, binary_tree, complete, complete_bipartite,
+                             cycle, path, petersen)
 from halinkit.invariants import distinguishing_cost
 from halinkit.perms import Permutation
-from halinkit.groups import GroupTooLargeError, PermGroup, _schreier_sims
+from halinkit.groups import GroupTooLargeError, PermGroup, _Chain
 
 from conftest import dihedral
 from corpus import hypercube, random_regular, small_corpus
 from oracles import (brute_automorphisms, brute_point_stabilizer,
-                     brute_set_stabilizer, networkx_automorphisms)
+                     brute_set_stabilizer, networkx_automorphisms,
+                     prefixed_schreier_sims)
 
 
 def symmetric(n):
@@ -187,23 +188,61 @@ class TestInvariants:
 class TestRebase:
     """Stabilizer queries rebase the group's own chain."""
 
-    def test_known_order_stop_is_exact(self):
+    @staticmethod
+    def rebase_cases():
         rng = random.Random(8)
         graphs = [g for _, g in small_corpus()[::4]]
         graphs += [petersen(), hypercube(4), complete_bipartite(4, 5)]
-        cases = [automorphism_group(g) for g in graphs]
-        cases += [symmetric(6), dihedral(9)]
-        for group in cases:
+        groups = [automorphism_group(g) for g in graphs]
+        groups += [symmetric(6), dihedral(9)]
+        for group in groups:
             n = group.degree
-            sgs = group.chain().strong_gens
             for _ in range(3):
-                prefix = sorted(rng.sample(range(n), rng.randint(1, n)))
-                full = _schreier_sims(n, sgs, prefix)
-                stopped = _schreier_sims(n, sgs, prefix, group.order())
-                assert stopped.base == full.base
-                assert stopped.strong_gens == full.strong_gens
-                assert ([sorted(t) for t in stopped.transversals]
-                        == [sorted(t) for t in full.transversals])
+                yield group, sorted(rng.sample(range(n), rng.randint(1, n)))
+        # points outside the base, then a trivial tail: D9's base is [0, 1],
+        # and only the identity fixes two points of the 9-cycle
+        assert dihedral(9).chain().base == [0, 1]
+        yield dihedral(9), [4, 7]
+        yield dihedral(9), [1, 4, 7]
+        yield symmetric(6), list(range(6))
+        # a point every automorphism fixes: the middle vertex of P3 and P5
+        yield automorphism_group(path(3)), [1]
+        yield automorphism_group(path(5)), [0, 2]
+
+    def test_rebase_matches_prefixed_reference(self):
+        for group, points in self.rebase_cases():
+            chain = group.chain().rebased(points)
+            want = prefixed_schreier_sims(group, points)
+            m = len(points)
+            assert chain.base[:m] == points
+            assert chain.order() == want.order() == group.order()
+            assert chain.orbits[:m] == want.orbits[:m]
+            assert all(chain.sift(g)[1].is_identity() for g in group.generators)
+            assert chain.verified() is chain
+            # level 0's generators are strong: read as such, they give the
+            # same basic orbits; the level-m ones fix the points and
+            # generate G_(points)
+            read = _Chain.read(group.degree, chain.base, chain.strong_gens)
+            assert read.orbits == chain.orbits
+            assert all(g(p) == p for g in chain.gens[m] for p in points)
+            pointwise = math.prod(map(len, want.orbits[m:]))
+            stab = group.point_stabilizer(points)
+            assert stab.order() == pointwise
+            assert PermGroup(group.degree, stab.generators).order() == pointwise
+            target = frozenset(points)
+            cosets = sum(1 for _ in want.walk(lambda j, w, a: w(a) in target,
+                                              stop=m))
+            assert group.set_stabilizer(points).order() == cosets * pointwise
+
+    def test_rebase_leaves_the_group_chain_alone(self):
+        group = automorphism_group(petersen())
+        chain = group.chain()
+        before = (list(chain.base), [list(g) for g in chain.gens],
+                  [dict(t) for t in chain.transversals], list(chain.orbits))
+        chain.rebased([3, 7, 9])
+        group.set_stabilizer([2, 5, 8, 9])
+        assert before == (chain.base, chain.gens, chain.transversals,
+                          chain.orbits)
 
     def test_binary_tree_point_stabilizers(self):
         group = automorphism_group(binary_tree(7).graph)
@@ -221,6 +260,58 @@ class TestRebase:
         monkeypatch.setattr("halinkit.groups._schreier_sims", refuse)
         assert group.point_stabilizer(()).order() == 2 ** 63
         assert group.set_stabilizer(()).order() == 2 ** 63
+
+    def test_no_stabilizer_query_runs_schreier_sims(self, monkeypatch):
+        tree = automorphism_group(binary_tree(6).graph)
+        pete = automorphism_group(petersen())
+        edgeless = automorphism_group(Graph(100, []))
+        for group in (tree, pete, edgeless):
+            group.chain()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Schreier-Sims ran")
+
+        monkeypatch.setattr("halinkit.groups._schreier_sims", refuse)
+        # fixing a vertex forbids the subtree swap at each of its ancestors:
+        # 0 for vertex 1, 0 and 1 for 3 and 4, 0, 2, 6, 14 and 29 for 60
+        assert tree.point_stabilizer({1}).order() == 2 ** 62
+        assert tree.point_stabilizer({3, 4, 60}).order() == 2 ** 57
+        # {3, 4} is the child set of vertex 1, so preserving it fixes 1
+        assert tree.set_stabilizer({1, 2}).order() == 2 ** 63
+        assert tree.set_stabilizer({3, 4}).order() == 2 ** 62
+        # Aut(Petersen) = S5 (order 120) acts transitively on its 10
+        # vertices, 15 edges ({0, 1}) and 30 non-edges ({0, 2})
+        assert pete.point_stabilizer({0}).order() == 12
+        assert pete.set_stabilizer({0, 1}).order() == 8
+        assert pete.set_stabilizer({0, 2}).order() == 4
+        assert not pete.set_stabilizer_is_trivial({0, 1, 2, 5})
+        assert edgeless.point_stabilizer({5, 50}).order() == \
+            math.factorial(98)
+        assert edgeless.set_stabilizer(range(0, 100, 10)).order() == \
+            math.factorial(10) * math.factorial(90)
+        with pytest.raises(ValueError, match="out of range"):
+            edgeless.point_stabilizer({5, 100})
+        with pytest.raises(ValueError, match="out of range"):
+            edgeless.set_stabilizer({-1, 5})
+
+    def test_point_stabilizer_of_sym100_by_swaps(self, monkeypatch):
+        """Two points of Sym(100), the edgeless graph's group: the swaps
+        bring them to the front of a 99-level chain in about 10,600
+        products; the prefixed Schreier-Sims needed 78,109 for two points
+        of Sym(30) and 106 s for {5, 50} of Sym(100)."""
+        group = automorphism_group(Graph(100, []))
+        group.chain()
+        products = 0
+        multiply = Permutation.__mul__
+
+        def counted(p, q):
+            nonlocal products
+            products += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        assert group.point_stabilizer({5, 90}).order() == math.factorial(98)
+        assert products < 15_000
 
 
 def _preserves(images, points):

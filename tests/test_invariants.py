@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halinkit.autgroup import automorphism_group
 from halinkit.graphs import (Graph, complete, complete_bipartite, cycle, path,
@@ -365,3 +366,31 @@ class TestSubdegreeReport:
 
     def test_complete4(self):
         assert subdegree_report(aut(complete(4))) == [(v, 3) for v in range(4)]
+
+
+class TestRelabeling:
+    """The invariants and the stabilizer orders are properties of the graph,
+    not of its vertex names: a random relabeling changes none of them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_invariants_survive_a_relabeling(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=999)))
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < p])
+        sigma = data.draw(st.permutations(range(n)))
+        h = Graph(n, [(sigma[i], sigma[j]) for i, j in g.edges])
+        a, b = aut(g), aut(h)
+        assert a.order() == b.order()
+        assert determining_number(a)[0] == determining_number(b)[0]
+        cost_a, cost_b = distinguishing_cost(a), distinguishing_cost(b)
+        assert (cost_a is None) == (cost_b is None)
+        assert cost_a is None or cost_a[0] == cost_b[0]
+        points = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        moved = {sigma[v] for v in points}
+        assert a.point_stabilizer(points).order() == \
+            b.point_stabilizer(moved).order()
+        assert a.set_stabilizer(points).order() == \
+            b.set_stabilizer(moved).order()
