@@ -15,9 +15,13 @@ from itertools import chain, compress, count, repeat
 from .record import Record
 
 GRAPH6_HEADER = ">>graph6<<"
-# each graph6 data byte: its six bits, most significant first
+# the graph6 forms of the vertex count n, shortest first:
+# (largest n, prefix, number of six-bit digits of n)
+_ORDER_FORMS = ((62, "", 1), (258047, "~", 3), (2 ** 36 - 1, "~~", 6))
+# each graph6 byte: its six bits, most significant first; and the inverse
 _SIX_BITS = {chr(v + 63): tuple(v >> s & 1 for s in range(5, -1, -1))
              for v in range(64)}
+_BYTE_OF_BITS = {bits: byte for byte, bits in _SIX_BITS.items()}
 
 
 class Graph6Error(ValueError):
@@ -163,27 +167,24 @@ def is_connected(g: Graph) -> bool:
 # graph6 codec (bit-exact, including the >= 63 vertex long forms)
 # ---------------------------------------------------------------------------
 
+def _pairs(n: int) -> Iterable[tuple[int, int]]:
+    """The pairs (i, j), i < j, column by column: the order of the bits."""
+    columns = range(1, n)
+    return chain.from_iterable(map(zip, map(range, columns), map(repeat, columns)))
+
+
 def _read_order(data: str, offset: int) -> tuple[int, int]:
-    def byte(k: int) -> int:
+    """n and the offset past it, read in the longest form whose prefix fits."""
+    _, prefix, digits = next(form for form in reversed(_ORDER_FORMS)
+                             if data.startswith(form[1], offset))
+    n = 0
+    for k in range(offset + len(prefix), offset + len(prefix) + digits):
         if k >= len(data):
             raise Graph6Error("truncated vertex count", len(data))
-        v = ord(data[k]) - 63
-        if not 0 <= v <= 63:
+        if data[k] not in _SIX_BITS:
             raise Graph6Error(f"byte out of range: {data[k]!r}", k)
-        return v
-
-    first = byte(offset)
-    if first < 63:
-        return first, offset + 1
-    if byte(offset + 1) == 63 + 63:  # second "~": 36-bit form
-        n = 0
-        for k in range(offset + 2, offset + 8):
-            n = (n << 6) | byte(k)
-        return n, offset + 8
-    n = 0
-    for k in range(offset + 1, offset + 4):
-        n = (n << 6) | byte(k)
-    return n, offset + 4
+        n = n << 6 | ord(data[k]) - 63
+    return n, k + 1
 
 
 def parse_graph6(text: str) -> Graph:
@@ -215,41 +216,21 @@ def parse_graph6(text: str) -> Graph:
     bits = list(chain.from_iterable(rows))
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits", offset + nbits // 6)
-    # the pairs (i, j), i < j, column by column: the order of the bits
-    columns = range(1, n)
-    pairs = chain.from_iterable(map(zip, map(range, columns), map(repeat, columns)))
-    return Graph(n, compress(pairs, bits))
+    return Graph(n, compress(_pairs(n), bits))
 
 
 def encode_graph6(g: Graph, header: bool = False) -> str:
     """Encode a graph in canonical graph6 (shortest order form, zero padding)."""
-    n = g.n
-    if n > 68719476735:
+    forms = [form for form in _ORDER_FORMS if g.n <= form[0]]
+    if not forms:
         raise ValueError("graph6 supports at most 2^36 - 1 vertices")
-    out = [GRAPH6_HEADER] if header else []
-    if n <= 62:
-        out.append(chr(n + 63))
-    elif n <= 258047:
-        out.append(chr(126))
-        out.extend(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    else:
-        out.append(chr(126) + chr(126))
-        out.extend(chr(((n >> shift) & 63) + 63)
-                   for shift in (30, 24, 18, 12, 6, 0))
-    acc = 0
-    filled = 0
-    adj = g.adjacency
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if i in adj[j] else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                filled = 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    _, prefix, digits = forms[0]
+    # the digits of n, then one bit per pair, zero-padded to whole bytes
+    bits = [g.n >> s & 1 for s in reversed(range(6 * digits))]
+    bits += map(g.edges.__contains__, _pairs(g.n))
+    bits += [0] * (-len(bits) % 6)
+    return ((GRAPH6_HEADER if header else "") + prefix
+            + "".join(map(_BYTE_OF_BITS.__getitem__, zip(*[iter(bits)] * 6))))
 
 
 # ---------------------------------------------------------------------------

@@ -377,9 +377,5 @@ class PermGroup:
         """True iff only the identity preserves the set."""
         return self.set_stabilizer(points).is_trivial()
 
-    def to_json(self) -> dict:
-        return {"degree": self.degree,
-                "generators": [list(g.images) for g in self.generators]}
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -34,7 +34,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build a permutation of degree n from disjoint cycles."""
+        """Build a permutation of degree n from disjoint cycles.  Each point
+        must be an int (not a bool) in 0..n-1 and appear at most once in
+        all the cycles together; otherwise ValueError."""
+        cycles = [tuple(cycle) for cycle in cycles]
+        points = [a for cycle in cycles for a in cycle]
+        if (set(map(type, points)) - {int} or len(set(points)) < len(points)
+                or not all(0 <= a < n for a in points)):
+            raise ValueError(f"not disjoint cycles of 0..{n - 1}: {cycles!r}")
         images = list(range(n))
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:]):

@@ -6,10 +6,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halinkit.graphs import (Graph, Graph6Error, binary_tree, comb, complete,
-                             complete_bipartite, cycle, encode_graph6,
-                             from_json, is_connected, make_family,
-                             parse_graph6, path, petersen, to_json)
+from halinkit.graphs import (GRAPH6_HEADER, Graph, Graph6Error, binary_tree,
+                             comb, complete, complete_bipartite, cycle,
+                             encode_graph6, from_json, is_connected,
+                             make_family, parse_graph6, path, petersen,
+                             to_json)
 
 from corpus import small_corpus
 from oracles import is_connected_by_bfs
@@ -201,6 +202,7 @@ class TestGraph6:
 
     def test_header_accepted(self):
         assert parse_graph6(">>graph6<<D?{") == parse_graph6("D?{")
+        assert encode_graph6(parse_graph6("D?{"), header=True) == ">>graph6<<D?{"
 
     def test_trailing_newline_ok(self):
         assert parse_graph6("D?{\n") == parse_graph6("D?{")
@@ -251,6 +253,39 @@ class TestGraph6:
             parse_graph6(padded)
         assert exc.value.offset == 8
 
+    # each order form at its ends: the header alone, n's six-bit digits + 63
+    ORDER_HEADERS = {62: "}", 63: "~??~", 258047: "~}~~",
+                     258048: "~~???~??", 2 ** 36 - 1: "~~~~~~~~"}
+
+    @pytest.mark.parametrize("n", sorted(ORDER_HEADERS))
+    @pytest.mark.parametrize("header", ["", GRAPH6_HEADER])
+    def test_order_form_boundaries(self, n, header):
+        # the byte count N = ceil(n(n-1)/2 / 6) fixes the decoded n
+        data = header + self.ORDER_HEADERS[n]
+        need = (n * (n - 1) // 2 + 5) // 6
+        with pytest.raises(Graph6Error, match=rf"truncated adjacency data: "
+                           rf"need {need} bytes, have 0 \(") as exc:
+            parse_graph6(data + "\n")
+        assert exc.value.offset == len(data)
+
+    @pytest.mark.parametrize("n", [258047, 258048, 2 ** 36 - 1])
+    def test_truncated_vertex_count_in_long_forms(self, n):
+        code = self.ORDER_HEADERS[n]
+        for k in range(1, len(code)):
+            with pytest.raises(Graph6Error, match="truncated vertex count") as exc:
+                parse_graph6(code[:k])
+            assert exc.value.offset == k
+
+    @pytest.mark.parametrize("n", [258047, 258048, 2 ** 36 - 1])
+    @pytest.mark.parametrize("bad", [" ", "\x7f", "é"])
+    def test_out_of_range_byte_in_long_forms(self, n, bad):
+        code = self.ORDER_HEADERS[n]
+        first = 1 if len(code) == 4 else 2  # past the prefix "~" or "~~"
+        for k in range(first, len(code)):
+            with pytest.raises(Graph6Error, match="byte out of range") as exc:
+                parse_graph6(code[:k] + bad + code[k + 1:])
+            assert exc.value.offset == k
+
     @pytest.mark.parametrize("n", [*range(1, 71), 100])
     def test_parse_matches_networkx_on_random_graphs(self, n):
         rng = random.Random(n)
@@ -275,7 +310,11 @@ class TestGraph6:
             assert parse_graph6(encode_graph6(g)) == g, name
 
     def test_long_form_matches_networkx(self):
-        for g in [path(63), cycle(80), complete_bipartite(9, 60)]:
+        # n = 62 is the last one-byte order form and n = 63 the first "~" form
+        near = [Graph(n, nx.gnp_random_graph(n, 0.3, seed=n).edges)
+                for n in (62, 63, 64)]
+        for g in [path(63), cycle(80), complete_bipartite(9, 60), *near,
+                  Graph(62), Graph(63)]:
             nxg = nx.Graph()
             nxg.add_nodes_from(range(g.n))
             nxg.add_edges_from(g.edges)

@@ -76,6 +76,22 @@ def test_from_cycles():
     assert p.images == (1, 2, 3, 4, 0)
     q = Permutation.from_cycles(5, [(1, 4), (2, 3)])
     assert q.images == (0, 4, 3, 2, 1)
+    assert Permutation.from_cycles(3, iter([[2], (), (0, 1)])).images == (1, 0, 2)
+
+
+@pytest.mark.parametrize("cycles", [
+    [(0, -3)],                   # a negative point, once read as the identity
+    [(0, 1, 2), (2, 1, 0)],      # overlapping cycles, once (2, 0, 1)
+    [(0, 1), (0, 1)],            # a repeated cycle, once a transposition
+    [(0, 1, 0)],                 # a point twice in one cycle
+    [(0, 5)],                    # past n - 1, once IndexError
+    [(0.0, 1)],                  # a float point, once TypeError
+    [(True, 2)],                 # a bool point
+    [("0", 1)],                  # a string point
+])
+def test_from_cycles_rejects_malformed_cycles(cycles):
+    with pytest.raises(ValueError, match="not disjoint cycles"):
+        Permutation.from_cycles(3, cycles)
 
 
 def test_pow():
