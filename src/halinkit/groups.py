@@ -6,7 +6,7 @@ strong for a base give the chain directly; any others go through the classic
 deterministic Schreier-Sims procedure, so repeated runs build identical chains.
 A stabilizer query rebases the group's own chain: deterministic swaps of
 adjacent base points bring the query points to the front, with no Schreier-Sims
-run.  The setwise stabilizer's chain is then read off one coset backtrack.
+run.  A set stabilizer comes from one bottom-up, orbit-pruned coset backtrack.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ class _Chain:
         """A chain of the same group whose base starts with the distinct
         points, in order.  Points not in the base enter as last levels with
         orbit {p}; swaps of adjacent base points then move each point up to
-        its place.  A point out of range raises ValueError."""
-        if not all(0 <= p < self.degree for p in points):
-            raise ValueError(f"base points {points} out of range")
+        its place.  A point not an int in 0..degree-1 raises ValueError."""
+        _vertex_set(self.degree, points)
         new = [p for p in points if p not in self.base]
         e = Permutation.identity(self.degree)
         chain = _Chain(self.degree, self.base + new,
@@ -190,6 +189,39 @@ class _Chain:
                 images = itemgetter(*images)(t[orbit[digit]].images)
         return Permutation._raw(images)
 
+    def set_stabilizer_gens(self, m: int) -> Iterator[Permutation]:
+        """Strong generators of the stabilizer of the set base[:m], yielded
+        as found: level m's, then leaves for levels j = m-1 down to 0.  All
+        found so far fix base[:j]; an image a of base[j] in the set is skipped
+        if their orbit of base[j] holds a, or the orbit of a failed image did
+        when it failed.  Otherwise its walk's first leaf, a coset product that
+        keeps every decided image in the set, if any, joins them."""
+        group = PermGroup(self.degree, self.gens[m])
+        yield from group.generators
+        target = frozenset(self.base[:m])
+
+        def keep(level: int, w: Permutation, a: int) -> bool:
+            return w(a) in target
+
+        for j in reversed(range(m)):
+            skip = set(group.orbit(self.base[j]))
+            for a in self.orbits[j]:
+                if a in target and a not in skip:
+                    leaf = next(self.walk(keep, j + 1, self.transversals[j][a],
+                                          m), None)
+                    if leaf is not None:
+                        yield leaf
+                        group = PermGroup(self.degree, group.generators + (leaf,))
+                    skip |= group.orbit(a)
+
+
+def _vertex_set(degree: int, points: Iterable[int]) -> frozenset[int]:
+    """The points; ValueError unless each is an int (not bool) in 0..degree-1."""
+    points = list(points)
+    if set(map(type, points)) - {int} or not all(0 <= p < degree for p in points):
+        raise ValueError(f"points {points!r} out of range 0..{degree - 1}")
+    return frozenset(points)
+
 
 def _orbit_transversal(degree: int, point: int,
                        gens: Sequence[Permutation]) -> dict[int, Permutation]:
@@ -209,9 +241,7 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
     """Deterministic Schreier-Sims: a new base point is the least point
     moved by the generator that needs it."""
     sgs: list[Permutation] = []
-    for g in generators:
-        if g.degree != degree:
-            raise ValueError("generator degree mismatch")
+    for g in generators:  # of the degree: PermGroup checked them
         if not g.is_identity() and g not in sgs:
             sgs.append(g)
 
@@ -253,7 +283,7 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
 class PermGroup:
     """A permutation group given by generators, with a lazily built BSGS."""
 
-    __slots__ = ("degree", "generators", "_chain")
+    __slots__ = ("degree", "generators", "_chain", "_last_set_stabilizer")
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         gens = tuple(generators)
@@ -263,6 +293,7 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._chain: _Chain | None = None
+        self._last_set_stabilizer = (frozenset(), None)  # query, answer
 
     @classmethod
     def from_strong_generators(cls, degree: int,
@@ -297,8 +328,8 @@ class PermGroup:
 
     def orbit(self, x: int) -> frozenset[int]:
         """The orbit of a point under the group, by closure over generators."""
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range")
+        if type(x) is not int or not 0 <= x < self.degree:
+            raise ValueError(f"point {x!r} out of range 0..{self.degree - 1}")
         seen = {x}
         queue = [x]
         for a in queue:  # the queue grows while it is read
@@ -334,8 +365,8 @@ class PermGroup:
 
     def point_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """Subgroup fixing every given point, read off the group's chain
-        rebased on them; a point out of range raises ValueError."""
-        points = frozenset(points)
+        rebased on them; ValueError unless each is an int in 0..degree-1."""
+        points = _vertex_set(self.degree, points)
         if not points:
             return self
         chain, m = self.chain().rebased(sorted(points)), len(points)
@@ -346,36 +377,27 @@ class PermGroup:
 
     def set_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """Subgroup preserving the given set, with its chain read off one
-        backtrack over the coset products of the rebased chain.
-
-        The set's points lead the base.  A product u_j...u_{m-1} of
-        transversal elements from level j on, with u_j(base[j]) = a and
-        every decided image inside the set, preserves the set, fixes
-        base[:j] and maps base[j] to a.  One such product per (j, a), the
-        first the backtrack reaches, together with the pointwise stabilizer's
-        generators is a strong generating set for the rebased base.
-        """
-        target = frozenset(points)
+        coset backtrack over the group's chain rebased on the set: the set's
+        levels are visited bottom up, and images the orbits of the
+        generators found so far reach or refute are never walked (see
+        ``_Chain.set_stabilizer_gens``).  The group keeps its last answer,
+        so asking for the same set again runs no second backtrack."""
+        target = _vertex_set(self.degree, points)
         if not target:
             return self
-        chain, m = self.chain().rebased(sorted(target)), len(target)
-        gens = list(chain.gens[m])
-
-        def keep(level: int, w: Permutation, a: int) -> bool:
-            return w(a) in target
-
-        for j in range(m):
-            t = chain.transversals[j]
-            for a in chain.orbits[j]:
-                if a != chain.base[j] and a in target:
-                    leaf = next(chain.walk(keep, j + 1, t[a], m), None)
-                    if leaf is not None:
-                        gens.append(leaf)
-        return PermGroup.from_strong_generators(self.degree, gens, chain.base)
+        if self._last_set_stabilizer[0] != target:
+            chain = self.chain().rebased(sorted(target))
+            self._last_set_stabilizer = target, PermGroup.from_strong_generators(
+                self.degree, chain.set_stabilizer_gens(len(target)), chain.base)
+        return self._last_set_stabilizer[1]
 
     def set_stabilizer_is_trivial(self, points: Iterable[int]) -> bool:
-        """True iff only the identity preserves the set."""
-        return self.set_stabilizer(points).is_trivial()
+        """True iff only the identity preserves the set: the backtrack of
+        :meth:`set_stabilizer` stops at its first non-identity generator and
+        builds no group, so True means that every walk failed."""
+        target = _vertex_set(self.degree, points)
+        chain = self.chain().rebased(sorted(target))
+        return all(map(Permutation.is_identity, chain.set_stabilizer_gens(len(target))))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

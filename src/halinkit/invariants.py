@@ -47,12 +47,20 @@ def bounds(n: int) -> Bounds:
 class StabilizerChain(Record):
     """Record of a greedy run Y_0 = base, Y_i = Y_{i-1} + one vertex.
 
-    ``orders`` holds |setwise stabilizer of Y_i| for i = 0..k and must be
-    strictly decreasing; the run is complete when the last order is 1 and
+    ``orders`` holds |setwise stabilizer of Y_i| for i = 0..k, strictly
+    decreasing, and ``added`` holds k distinct vertices off the base (else
+    ValueError); the run is complete when the last order is 1 and
     ``stalled`` marks runs where no vertex could cut the stabilizer further.
     """
 
     __slots__ = ("base", "added", "orders", "stalled")
+
+    def _check(self) -> None:
+        orders, added = self.orders, self.added
+        if (len(orders) != len(added) + 1 or len({*added} - {*self.base}) < len(added)
+                or any(a <= b for a, b in zip(orders, orders[1:]))):
+            raise ValueError("greedy record: orders must strictly decrease, one per "
+                             "Y_i, and added vertices be distinct and off the base")
 
     @property
     def final_set(self) -> tuple[int, ...]:
@@ -233,22 +241,19 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     moved_by_stab = {v for gen in stab_y.generators for v in gen.support()}
     # v is in X iff some a maps a pair of Y x Y to (y, v) with y in Y, so X
     # is read off the closure of Y x Y under the generators.
-    pairs = {(u, v) for u in yset for v in yset}
-    queue = list(pairs)
-    while queue:
-        u, v = queue.pop()
-        for gen in group.generators:
-            image = (gen(u), gen(v))
+    gens = [gen.images for gen in group.generators]
+    queue = [(u, v) for u in yset for v in yset]
+    pairs = set(queue)
+    for u, v in queue:  # the queue grows while it is read
+        for images in gens:
+            image = images[u], images[v]
             if image not in pairs:
                 pairs.add(image)
                 queue.append(image)
     x = {v for u, v in pairs if u in yset}  # contains Y
     for v in sorted(moved_by_stab - yset, key=lambda v: (v in x, v)):
-        if v not in x:
-            return v
-        stab_v = group.set_stabilizer(yset | {v})
-        if all(frozenset(gen(u) for u in yset) == yset
-               for gen in stab_v.generators):
+        if v not in x or all(frozenset(map(gen, yset)) == yset for gen
+                             in group.set_stabilizer(yset | {v}).generators):
             return v
     return None
 
@@ -257,27 +262,20 @@ def greedy_distinguishing_chain(group: PermGroup,
                                 base: Iterable[int]) -> StabilizerChain:
     """Grow a base one vertex at a time until its setwise stabilizer is trivial.
 
-    Singleton bases are already distinguishing (setwise = pointwise for a
-    single vertex), so the loop only ever calls the reduction step with
-    |Y| >= 2.  A stalled run returns the partial chain with the flag set.
+    Singleton bases are already distinguishing (setwise = pointwise), so the
+    reduction step only sees |Y| >= 2.  A stalled run returns the partial
+    chain, flagged.  The group keeps its last set stabilizer for reducing_vertex.
     """
     base_set = frozenset(base)
     if not is_base(group, base_set):
         raise ValueError("the starting set must be a base (trivial pointwise stabilizer)")
-    orders = [group.set_stabilizer(base_set).order()]
-    added: list[int] = []
-    current = base_set
-    stalled = False
-    while orders[-1] > 1:
-        v = reducing_vertex(group, current)
-        if v is None:
-            stalled = True
-            break
+    orders, added, current = [group.set_stabilizer(base_set).order()], [], base_set
+    while orders[-1] > 1 and (v := reducing_vertex(group, current)) is not None:
         added.append(v)
         current = current | {v}
         orders.append(group.set_stabilizer(current).order())
     return StabilizerChain(tuple(sorted(base_set)), tuple(added),
-                           tuple(orders), stalled)
+                           tuple(orders), orders[-1] > 1)
 
 
 def subdegree_report(group: PermGroup) -> list[tuple[int, int]]:

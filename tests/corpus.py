@@ -56,6 +56,23 @@ def random_regular(n, d, rng):
             return Graph(n, edges)
 
 
+def planted(n, transpositions, rng):
+    """A random graph invariant under an involution sigma of the given
+    number of transpositions: each pair orbit {e, sigma(e)} is all edges or
+    none."""
+    moved = rng.sample(range(n), 2 * transpositions)
+    sigma = list(range(n))
+    for a, b in zip(moved[::2], moved[1::2]):
+        sigma[a], sigma[b] = b, a
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = tuple(sorted((sigma[i], sigma[j])))
+            if (i, j) <= image and rng.random() < 0.5:
+                edges |= {(i, j), image}
+    return Graph(n, edges)
+
+
 def small_corpus():
     """The full <= 8 vertex corpus used by the acceptance oracle sweeps."""
     return family_corpus() + random_corpus()

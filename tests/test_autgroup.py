@@ -8,26 +8,9 @@ from halinkit.graphs import (Graph, binary_tree, comb, complete,
 from halinkit.groups import _schreier_sims
 from halinkit.perms import Permutation
 
-from corpus import hypercube, random_regular
+from corpus import hypercube, planted, random_regular
 from oracles import (brute_automorphisms, coarsest_equitable,
                      networkx_automorphisms, refine_by_counts)
-
-
-def planted(n, transpositions, rng):
-    """A random graph invariant under an involution sigma of the given
-    number of transpositions: each pair orbit {e, sigma(e)} is all edges or
-    none."""
-    moved = rng.sample(range(n), 2 * transpositions)
-    sigma = list(range(n))
-    for a, b in zip(moved[::2], moved[1::2]):
-        sigma[a], sigma[b] = b, a
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = tuple(sorted((sigma[i], sigma[j])))
-            if (i, j) <= image and rng.random() < 0.5:
-                edges |= {(i, j), image}
-    return Graph(n, edges)
 
 
 def disjoint_union(g, copies):

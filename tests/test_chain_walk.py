@@ -47,12 +47,20 @@ def test_elements_match_products(group):
 
 
 def test_set_stabilizer_generators_match_first_leaf(group):
+    """The bottom-up backtrack lists a sublist of the first-leaf list: the
+    same leaf for each (level, image) it walks, and none for an image the
+    orbits of the generators already found reach or refute."""
     rng = random.Random(group.degree)
     for _ in range(4):
         points = rng.sample(range(group.degree),
                             rng.randint(1, group.degree))
-        assert list(group.set_stabilizer(points).generators) == \
-            set_stabilizer_by_first_leaf(group, points)
+        got = group.set_stabilizer(points).generators
+        want = set_stabilizer_by_first_leaf(group, points)
+        assert set(got) <= set(want)
+        assert PermGroup(group.degree, got).order() == \
+            PermGroup(group.degree, want).order()
+        target = frozenset(points)
+        assert all(frozenset(map(g, target)) == target for g in got)
 
 
 def test_motion_witness_matches_recursion(group):

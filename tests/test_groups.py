@@ -41,6 +41,11 @@ class TestOrbit:
         with pytest.raises(ValueError):
             d8.orbit(9)
 
+    @pytest.mark.parametrize("x", [1.5, "a", None, True])
+    def test_point_must_be_an_int(self, d8, x):
+        with pytest.raises(ValueError, match="out of range"):
+            d8.orbit(x)
+
 
 class TestBsgs:
     def test_dihedral_5(self):
@@ -134,6 +139,36 @@ class TestSetStabilizer:
     def test_points_out_of_range(self, d8, query, points):
         with pytest.raises(ValueError, match="out of range"):
             getattr(d8, query)(points)
+
+    @pytest.mark.parametrize("query", ["point_stabilizer", "set_stabilizer",
+                                       "set_stabilizer_is_trivial"])
+    @pytest.mark.parametrize("points", [[1.5], ["a"], [None], [True],
+                                        [2, 1.0], [3, "a"]])
+    def test_points_must_be_ints(self, d8, query, points):
+        """A float failed inside the swaps with TypeError, a string or None
+        failed a comparison with TypeError, and True was read as vertex 1."""
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(d8, query)(points)
+        with pytest.raises(ValueError, match="out of range"):
+            d8.chain().rebased(points)
+
+    def test_kept_answer_does_not_admit_a_bool(self, d8):
+        assert d8.set_stabilizer({1}).order() == 2
+        with pytest.raises(ValueError, match="out of range"):
+            d8.set_stabilizer([True])
+
+    def test_last_answer_is_kept(self, d8, monkeypatch):
+        rebases = []
+        rebased = _Chain.rebased
+        monkeypatch.setattr(_Chain, "rebased", lambda chain, points:
+                            rebases.append(points) or rebased(chain, points))
+        first = d8.set_stabilizer({0, 1})
+        assert d8.set_stabilizer([1, 0]) is first
+        assert d8.set_stabilizer(iter([0, 1])) is first
+        assert d8.set_stabilizer({0, 2}).order() == 2
+        assert d8.set_stabilizer({0, 1}) is not first
+        assert d8.set_stabilizer({0, 1}).order() == first.order() == 2
+        assert rebases == [[0, 1], [0, 2], [0, 1]]
 
 
 class TestElements:
@@ -335,6 +370,47 @@ class TestSetStabilizerPastBruteForce:
                 assert stab.order() == want
                 assert all(_preserves(h.images, points) for h in stab.generators)
                 assert group.set_stabilizer_is_trivial(points) == (want == 1)
+
+    def test_triviality_matches_networkx_and_brute_force(self):
+        """``set_stabilizer_is_trivial`` against the number of elements that
+        preserve the set, from networkx's element lists past n = 8 and from
+        brute force on the corpus, for one set of every size."""
+        rng = random.Random(13)
+        graphs = [petersen(), hypercube(4), cycle(12), complete_bipartite(4, 5)]
+        graphs += [random_regular(n, 3, rng) for n in (10, 12, 14)]
+        cases = [(g, networkx_automorphisms(g)) for g in graphs]
+        cases += [(g, brute_automorphisms(g)) for _, g in small_corpus()[::3]]
+        answers = set()
+        for g, elems in cases:
+            group = automorphism_group(g)
+            for size in range(1, g.n):
+                points = frozenset(rng.sample(range(g.n), size))
+                trivial = sum(_preserves(p, points) for p in elems) == 1
+                assert group.set_stabilizer_is_trivial(points) == trivial
+                answers.add(trivial)
+        assert answers == {False, True}
+
+    def test_triviality_builds_no_group(self, monkeypatch):
+        """The test stops at its first generator, of the pointwise
+        stabilizer or a leaf, and reads no chain off the generators."""
+        cases = [(dihedral(8), {0, 1, 3}, True), (dihedral(8), {0, 1}, False),
+                 (automorphism_group(hypercube(4)), {0, 1, 2, 5, 11}, True),
+                 (automorphism_group(petersen()), {0, 1, 2, 5}, False),
+                 (automorphism_group(complete_bipartite(4, 5)), {0, 1}, False)]
+        for group, points, trivial in cases:
+            assert PermGroup(group.degree, group.generators).set_stabilizer(
+                points).is_trivial() == trivial
+            group.chain()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setattr(PermGroup, "from_strong_generators", refuse)
+        monkeypatch.setattr(_Chain, "read", refuse)
+        monkeypatch.setattr(_Chain, "verified", refuse)
+        monkeypatch.setattr("halinkit.groups._schreier_sims", refuse)
+        for group, points, trivial in cases:
+            assert group.set_stabilizer_is_trivial(points) == trivial
 
     def test_first_leaf_per_subtree(self, monkeypatch):
         """A subtree off the identity path is left at its first leaf; a

@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 from halinkit.autgroup import automorphism_group
 from halinkit.graphs import (Graph, complete, complete_bipartite, cycle, path,
                              petersen)
-from halinkit.invariants import (Bounds, BudgetExceededError, bounds,
+from halinkit.invariants import (Bounds, BudgetExceededError, StabilizerChain,
+                                 bounds,
                                  determining_number, disjoint_translate,
                                  distinguishing_cost,
                                  greedy_distinguishing_chain, is_base,
                                  is_distinguishing, motion, motion_of,
                                  reducing_vertex, subdegree_report)
 from halinkit.perms import Permutation
-from halinkit.groups import PermGroup
+from halinkit.groups import PermGroup, _Chain
 
 from conftest import dihedral
-from corpus import hypercube, small_corpus
+from corpus import hypercube, planted, small_corpus
 from oracles import (brute_automorphisms, brute_determining_number,
                      brute_distinguishing_cost, brute_motion,
                      longest_subgroup_chain, networkx_automorphisms,
@@ -303,12 +304,102 @@ class TestGreedyChain:
         assert chain.completed and chain.added == ()
         assert len(chain.final_set) <= bounds(1).cost_bound
 
+    @pytest.mark.parametrize("fields", [
+        ((0, 1), (3,), (2, 2), False),        # orders do not decrease
+        ((0, 1), (3, 5), (8, 2), False),      # one order short
+        ((0, 1), (), (2, 1), False),          # one order too many
+        ((0, 1), (3, 3), (8, 2, 1), False),   # an added vertex twice
+        ((0, 1), (1,), (2, 1), False),        # an added vertex in the base
+    ])
+    def test_record_rejects_inconsistent_fields(self, fields):
+        with pytest.raises(ValueError, match="greedy record"):
+            StabilizerChain(*fields)
+
+    def test_every_corpus_run_builds(self):
+        for _, g in small_corpus():
+            group = aut(g)
+            chain = greedy_distinguishing_chain(group,
+                                                determining_number(group)[1])
+            assert StabilizerChain(*chain._values()) == chain
+
     def test_orders_strictly_decrease(self):
         for g in [cycle(6), cycle(8), petersen()]:
             group = aut(g)
             base = determining_number(group)[1]
             chain = greedy_distinguishing_chain(group, base)
             assert all(a > b for a, b in zip(chain.orders, chain.orders[1:]))
+
+
+def _greedy_graphs():
+    """The kinds of graph the benchmark runs greedy on: C7, K_{3,3},
+    K_{4,4}, K_{4,5}, Petersen, Q3, Q4, the circulant C9(1, 2), and planted
+    graphs on 10 and 14 vertices whose only nontrivial automorphism is the
+    planted pair of transpositions."""
+    rng = random.Random(24)
+    out = [("C7", cycle(7)), ("K33", complete_bipartite(3, 3)),
+           ("K44", complete_bipartite(4, 4)), ("K45", complete_bipartite(4, 5)),
+           ("petersen", petersen()), ("Q3", hypercube(3)), ("Q4", hypercube(4)),
+           ("C9(1,2)", Graph(9, [(i, (i + s) % 9) for i in range(9)
+                                 for s in (1, 2)]))]
+    for n in (10, 14):
+        g = planted(n, 2, rng)
+        while aut(g).order() != 2:
+            g = planted(n, 2, rng)
+        out.append((f"planted{n}", g))
+    return out
+
+
+GREEDY = _greedy_graphs()
+
+
+class TestGreedyStabilizers:
+    @pytest.mark.parametrize("name, graph", GREEDY,
+                             ids=[name for name, _ in GREEDY])
+    def test_each_set_is_backtracked_once(self, monkeypatch, name, graph):
+        """is_base rebases the chain on the base once; after that, one
+        rebase per distinct set whose stabilizer greedy or reducing_vertex
+        asks for, however often it is asked for."""
+        group = aut(graph)
+        base = determining_number(group)[1]
+        queries, rebases = [], []
+        set_stabilizer, rebased = PermGroup.set_stabilizer, _Chain.rebased
+        monkeypatch.setattr(PermGroup, "set_stabilizer", lambda g, points:
+                            queries.append(frozenset(points))
+                            or set_stabilizer(g, points))
+        monkeypatch.setattr(_Chain, "rebased", lambda chain, points:
+                            rebases.append(frozenset(points))
+                            or rebased(chain, points))
+        chain = greedy_distinguishing_chain(group, base)
+        assert rebases[0] == frozenset(base)
+        assert sorted(rebases[1:], key=sorted) == \
+            sorted(set(queries), key=sorted)
+        if chain.orders[0] > 1 and len(base) > 1:
+            # greedy and then reducing_vertex ask for stab(Y_0)
+            assert len(queries) > len(set(queries))
+        if name == "Q4":
+            # and for Y_1 and Y_2; reducing_vertex had already asked for
+            # Y_2 = Y_1 + {8} to test the candidate 8 inside X
+            assert chain.added == (2, 8)
+            assert len(queries) == len(set(queries)) + 3
+
+    def test_k66_greedy_products(self, monkeypatch):
+        """Greedy on K_{6,6} from its least base: the bottom-up backtrack
+        with orbit pruning makes about 39,800 products; walking one subtree
+        per (level, image) made 236,715."""
+        group = aut(complete_bipartite(6, 6))
+        base = determining_number(group)[1]
+        products = 0
+        multiply = Permutation.__mul__
+
+        def counted(p, q):
+            nonlocal products
+            products += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        chain = greedy_distinguishing_chain(group, base)
+        assert chain.orders == (28_800,) and chain.stalled
+        assert products < 60_000
 
 
 class TestNoEnumeration:
