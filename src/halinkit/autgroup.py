@@ -2,16 +2,22 @@
 
 The search individualizes a vertex of the first largest cell at each node,
 refines with a splitter queue, and compares each leaf with the first leaf.
-Two exact rules prune it (McKay 1981): a node whose refinement trace
-leaves the first path's is dropped, and a subtree off the first path is
-left once it yields an automorphism.  First-path nodes explore or
-orbit-prune their whole cell, so the generators found are strong for the
-first path as base, and the chain is read off them, not Schreier-Sims.
+Exact rules prune it.  A node whose refinement trace leaves the first
+path's is dropped, and a subtree off the first path is left once it
+yields an automorphism (McKay 1981).  It ends at its first node whose
+non-singleton cells hold the vertices of the first path's at that depth
+(the early leaf of saucy, Darga, Sakallah & Markov 2008): gamma maps the
+first path's singletons to the node's and fixes the rest.  If gamma is
+an automorphism, the node is the gamma-image of the first path's, so its
+first-child descent individualizes the first path's vertices and its
+first leaf gives gamma: the same generator, in the same place.
+First-path nodes explore or orbit-prune their whole cell, so the
+generators found are strong for the first path as base, and the chain is
+read off them, not Schreier-Sims.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, count
 
@@ -111,12 +117,16 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
         raise ValueError("partition does not match the graph")
     p = partition if _owned else partition._copy()
     lab, pos, cell, end, trace = p.lab, p.pos, p.cell, p.end, p.trace
-    expected, queue, p.pending = p.expected, deque(p.pending), []
-    queued, n = set(queue), len(lab)  # the starts in the queue
+    expected, queue, p.pending = p.expected, list(p.pending), []
+    n, ncells, k, head = len(lab), p.ncells, len(trace), 0
+    queued = bytearray(n)  # 1 at the starts in the queue
+    for s in queue:
+        queued[s] = 1
     adj = g.adjacency
-    while queue and p.ncells < n:
-        s = queue.popleft()
-        queued.discard(s)
+    while head < len(queue) and ncells < n:
+        s = queue[head]
+        head += 1
+        queued[s] = 0
         single = end[s] == s + 1
         if single:
             counts = adj[lab[s]]
@@ -135,15 +145,17 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
                     continue
                 keys = (1,) * len(members)
             else:
-                members.sort(key=counts.__getitem__)
+                if len(members) > 1:
+                    members.sort(key=counts.__getitem__)
                 keys = tuple(map(counts.__getitem__, members))
                 if len(members) == e - c and keys[0] == keys[-1]:
                     continue
-            event, k = (s, c, keys), len(trace)
+            event = (s, c, keys)
             if expected is not None and (k == len(expected)
                                          or expected[k] != event):
                 return None
             trace.append(event)
+            k += 1
             # touched vertices go to the tail in key order; each untouched
             # one there fills the place of the next touched one before it
             tail = j = e - len(members)
@@ -159,14 +171,23 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
                     j += 1
                 pos[w], cell[w] = i, starts[-1]
             lab[tail:e] = members
+            ncells += len(starts) - 1
+            if len(starts) == 2:  # of two equal halves the first is larger
+                b = starts[1]
+                end[c], end[b] = b, e
+                b = b if queued[c] or b - c >= e - b else c
+                queue.append(b)
+                queued[b] = 1
+                continue
             for a, b in zip(starts, starts[1:] + [e]):
                 end[a] = b
-            p.ncells += len(starts) - 1
-            starts.remove(c if c in queued else
+            starts.remove(c if queued[c] else
                           max(starts, key=lambda a: end[a] - a))
             queue.extend(starts)
-            queued.update(starts)
-    return p if expected is None or len(trace) == len(expected) else None
+            for a in starts:
+                queued[a] = 1
+    p.ncells = ncells
+    return p if expected is None or k == len(expected) else None
 
 
 def automorphism_group(g: Graph) -> PermGroup:
@@ -178,35 +199,41 @@ def automorphism_group(g: Graph) -> PermGroup:
     n = g.n
     gens: list[Permutation] = []
     first_path: list[int] = []
-    first_traces: list[list] = []
+    # per first-path depth: node, non-singleton vertices, their cells
+    first: list[tuple[ColoredPartition, tuple[int, ...], tuple[int, ...]]] = []
     targets: list[int] = []
-    first_leaf: list[int] | None = None  # the first leaf's pos
 
     def search(part: ColoredPartition, path: tuple[int, ...],
                on_first: bool) -> bool:
-        # True iff off the first path and a leaf below gave an automorphism,
-        # whose image of the first path's subtree is the rest of this one
-        nonlocal first_leaf
-        if part.is_discrete:
-            if first_leaf is None:
-                first_leaf = part.pos
-                return False
-            images = list(map(part.lab.__getitem__, first_leaf))
-            # each leaf is visited once, so no automorphism is found twice
-            if not g.is_automorphism(images):
-                return False
-            gens.append(Permutation(images))
-            return True
+        # True iff off the first path and an automorphism was found that
+        # maps the first path's subtree onto the rest of this one
         depth = len(path)
+        cell, end = part.cell, part.end
+        if on_first:
+            verts = tuple(v for v in part.lab if end[cell[v]] > cell[v] + 1)
+            first.append((part, verts, tuple(map(cell.__getitem__, verts))))
+        else:
+            # the early leaf (module docstring): the trace matched, so the
+            # cells have the first path's shape, and they hold its
+            # vertices whenever gamma is an automorphism
+            node, verts, starts = first[depth]
+            if tuple(map(cell.__getitem__, verts)) == starts:
+                images = list(map(part.lab.__getitem__, node.pos))
+                for v in verts:
+                    images[v] = v
+                if g.is_automorphism(images):
+                    gens.append(Permutation(images))
+                    return True
+        if part.is_discrete:
+            return False
         if depth == len(targets):  # all nodes at a depth share the shape
-            targets.append(max(sorted(set(part.cell)),
-                               key=lambda s: part.end[s] - s))
+            targets.append(max(sorted(set(cell)), key=lambda s: end[s] - s))
         ti = targets[depth]
         # Orbit pruning: a sibling in the orbit of an explored one under
         # the known automorphisms fixing the path adds no generators.
         # ``reached`` is that orbit, extended as generators arrive.
         fixing, reached, known, last = [], set(), 0, []
-        for v in sorted(part.lab[ti:part.end[ti]]):
+        for v in sorted(part.lab[ti:end[ti]]):
             if last:  # the first sibling is always explored
                 fresh = [p for p in gens[known:]
                          if all(p.images[x] == x for x in path)]
@@ -219,14 +246,14 @@ def automorphism_group(g: Graph) -> PermGroup:
                 if v in reached:
                     continue
             last = [v]
-            extends = first_leaf is None
+            extends = len(first) == depth + 1
             child = refine(g, part._individualize(
-                v, None if extends else first_traces[depth]), _owned=True)
+                v, None if extends else first[depth + 1][0].trace),
+                _owned=True)
             if child is None:
                 continue
             if extends:
                 first_path.append(v)
-                first_traces.append(child.trace)
             if search(child, path + (v,), extends) and not on_first:
                 return True
         return False

@@ -97,8 +97,10 @@ class Graph:
         return sorted(self._order)
 
     def is_automorphism(self, images: Sequence[int]) -> bool:
-        """True iff the image array is a bijection preserving adjacency."""
-        if sorted(images) != list(range(self.n)):
+        """True iff the image array is a bijection of ints (no bools or
+        floats) preserving adjacency."""
+        if (set(map(type, images)) - {int}
+                or sorted(images) != list(range(self.n))):
             return False
         return all((images[i], images[j]) in self.edges
                    or (images[j], images[i]) in self.edges

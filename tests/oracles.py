@@ -616,3 +616,66 @@ def refine_by_counts(g, partition):
             skip = c if c in queue else big
             queue.extend(a for a in starts if a != skip)
     return p if expected is None or len(trace) == len(expected) else None
+
+
+def automorphism_group_by_full_descent(g):
+    """The IR search without the early-leaf rule: every subtree off the
+    first path is descended to a leaf, whose map from the first leaf is
+    tested.  The library's search must list the same generators, in the
+    same order, on the same base."""
+    from halinkit.autgroup import ColoredPartition, refine
+    from halinkit.groups import PermGroup
+    from halinkit.perms import Permutation
+
+    n = g.n
+    gens = []
+    first_path = []
+    first_traces = []
+    targets = []
+    first_leaf = None  # the first leaf's pos
+
+    def search(part, path, on_first):
+        # True iff off the first path and a leaf below gave an automorphism
+        nonlocal first_leaf
+        if part.is_discrete:
+            if first_leaf is None:
+                first_leaf = part.pos
+                return False
+            images = list(map(part.lab.__getitem__, first_leaf))
+            if not g.is_automorphism(images):
+                return False
+            gens.append(Permutation(images))
+            return True
+        depth = len(path)
+        if depth == len(targets):
+            targets.append(max(sorted(set(part.cell)),
+                               key=lambda s: part.end[s] - s))
+        ti = targets[depth]
+        fixing, reached, known, last = [], set(), 0, []
+        for v in sorted(part.lab[ti:part.end[ti]]):
+            if last:
+                fresh = [p for p in gens[known:]
+                         if all(p.images[x] == x for x in path)]
+                known, fixing = len(gens), fixing + fresh
+                queue = last + [p.images[w] for p in fresh for w in reached]
+                for w in queue:
+                    if w not in reached:
+                        reached.add(w)
+                        queue.extend(p.images[w] for p in fixing)
+                if v in reached:
+                    continue
+            last = [v]
+            extends = first_leaf is None
+            child = refine(g, part._individualize(
+                v, None if extends else first_traces[depth]), _owned=True)
+            if child is None:
+                continue
+            if extends:
+                first_path.append(v)
+                first_traces.append(child.trace)
+            if search(child, path + (v,), extends) and not on_first:
+                return True
+        return False
+
+    search(refine(g, ColoredPartition.unit(n), _owned=True), (), True)
+    return PermGroup.from_strong_generators(n, gens, first_path)

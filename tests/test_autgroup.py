@@ -8,9 +8,10 @@ from halinkit.graphs import (Graph, binary_tree, comb, complete,
 from halinkit.groups import _schreier_sims
 from halinkit.perms import Permutation
 
-from corpus import hypercube, planted, random_regular
-from oracles import (brute_automorphisms, coarsest_equitable,
-                     networkx_automorphisms, refine_by_counts)
+from corpus import hypercube, planted, random_regular, small_corpus
+from oracles import (automorphism_group_by_full_descent, brute_automorphisms,
+                     coarsest_equitable, networkx_automorphisms,
+                     refine_by_counts)
 
 
 def disjoint_union(g, copies):
@@ -167,6 +168,79 @@ class TestRefineMatchesCountsOracle:
                         g, q._individualize(v, expected)) is None
         assert nones > 0
 
+    @pytest.mark.parametrize("queued", [False, True])
+    @pytest.mark.parametrize("edges,cells,splitter,split", [
+        # the splitter {0, 2, 3} halves the cell {1, 4}
+        ([(0, 3), (0, 4), (2, 3)], [(1, 4), (0, 2, 3)], 2, 0),
+        # the singleton {0} halves the cell {1, 2, 3, 4}
+        ([(0, 1), (0, 2), (1, 3), (2, 5), (4, 5)],
+         [(0,), (1, 2, 3, 4), (5,)], 0, 1),
+        # the singleton {0} splits {1, 2, 3, 4} into 1 + 3 vertices, and
+        # only {1, 2, 3} splits {5, 6}
+        ([(0, 1), (0, 2), (0, 3), (1, 5), (2, 5), (3, 6)],
+         [(0,), (1, 2, 3, 4), (5, 6)], 0, 1),
+    ])
+    def test_splits_into_two_subcells(self, edges, cells, splitter, split,
+                                      queued):
+        # the split cell is queued or not; of two equal halves the first
+        # counts as the larger, so only the second is queued.  The queue
+        # is set by hand, so the result need not be equitable; refine and
+        # the oracle must still agree on it.
+        part = ColoredPartition(cells)
+        part.pending = [splitter] + [split] * queued
+        got = self.check(Graph(part.n, edges), part)
+        assert got.trace[0][:2] == (splitter, split)
+
+    def test_cycles_individualized_at_every_vertex(self):
+        for n in (3, 4, 5, 8, 13, 50, 101, 200):
+            g = cycle(n)
+            root = self.check(g, ColoredPartition.unit(n))
+            for v in range(n):
+                self.check(g, root._individualize(v, None))
+
+    def test_random_regular_siblings_against_first_path_traces(self):
+        # every child of each first-path node, refined against the first
+        # path's trace at its depth, as the search refines it
+        rng = random.Random(15)
+        nones = 0
+        for d in (3, 4, 3, 4):
+            g = random_regular(80, d, rng)
+            path = [self.check(g, ColoredPartition.unit(g.n))]
+            while not path[-1].is_discrete:
+                q = path[-1]
+                s = max(sorted(set(q.cell)), key=lambda a: q.end[a] - a)
+                v = min(q.lab[s:q.end[s]])
+                path.append(refine(g, q._individualize(v, None)))
+            for q, child in zip(path, path[1:]):
+                s = max(sorted(set(q.cell)), key=lambda a: q.end[a] - a)
+                for v in q.lab[s:q.end[s]]:
+                    nones += self.check(
+                        g, q._individualize(v, child.trace)) is None
+        assert nones > 0
+
+
+def full_descent_graphs():
+    """The n <= 8 corpus, oracle_graphs, combs, binary trees, cycles,
+    K_{a,b}, unions of Petersen graphs, cycles and K_{2,3}, and Q3-Q6,
+    each also seeded-relabeled; complete and edgeless graphs to n = 60."""
+    rng = random.Random(16)
+    out = [g for _, g in small_corpus()] + oracle_graphs(rng)
+    out += [comb(d).graph for d in range(1, 41)]
+    out += [binary_tree(d).graph for d in range(1, 7)]
+    out += [cycle(n) for n in range(3, 61)]
+    out += [complete_bipartite(a, b) for a in range(1, 7)
+            for b in range(a, 9)]
+    out += [disjoint_union(h, k) for h in (petersen(), cycle(5), cycle(8),
+                                          complete_bipartite(2, 3))
+            for k in (2, 3, 4)]
+    out += [hypercube(d) for d in range(3, 7)]
+    for g in out[:]:
+        images = list(range(g.n))
+        rng.shuffle(images)
+        out.append(g.relabel(images))
+    # relabeling leaves these as they are
+    return out + [f(n) for f in (complete, Graph) for n in range(1, 61)]
+
 
 class TestAutomorphismGroup:
     @pytest.mark.parametrize("g,order", [
@@ -261,6 +335,41 @@ class TestAutomorphismGroup:
         for g in graphs:
             automorphism_group(g)
         assert calls["copy"] == calls["refine"] - len(graphs) > 0
+
+    def test_same_generators_and_base_as_full_descent(self):
+        # the early-leaf rule ends a subtree at the generator its first
+        # leaf would give, so nothing else may change
+        for g in full_descent_graphs():
+            got, want = (automorphism_group(g),
+                         automorphism_group_by_full_descent(g))
+            assert got.generators == want.generators
+            assert got.chain().base == want.chain().base
+
+    def test_refine_count_is_linear_on_combs_edgeless_and_complete(
+            self, monkeypatch):
+        # a subtree off the first path ends at its first node; descending
+        # each to a leaf made about n(n+1)/2 refines (7,503 on comb(120),
+        # 20,100 on the edgeless graph on 200 vertices, 5,050 on K100).
+        # Each candidate map the search tests is an automorphism here.
+        import halinkit.autgroup as autgroup
+        calls = {"refine": 0, "test": 0}
+        refine_, test = autgroup.refine, Graph.is_automorphism
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(autgroup, "refine", counted("refine", refine_))
+        monkeypatch.setattr(Graph, "is_automorphism", counted("test", test))
+        for g, count in ((comb(120).graph, 362), (Graph(200), 597),
+                         (complete(100), 297), (comb(10).graph, 32),
+                         (comb(40).graph, 122), (comb(80).graph, 242)):
+            calls.update(refine=0, test=0)
+            gens = automorphism_group(g).generators
+            assert calls["refine"] == count <= 4 * g.n
+            assert calls["test"] == len(gens)
 
     def test_orbit_pruning_generator_counts(self):
         # the generator list is part of aut's output; weaker orbit pruning

@@ -39,6 +39,15 @@ class TestGraphType:
         assert g.neighbors(1) == frozenset({0, 2})
         assert g.degree(0) == 1
 
+    @pytest.mark.parametrize("images", [
+        [1.0, 0.0], [True, False], [1, False], [1.0, 0], [None, 0],
+        [1, 0, 2], [0, 0]])
+    def test_is_automorphism_wants_a_permutation_of_ints(self, images):
+        # the images Permutation rejects are no automorphism either
+        g = complete(2)
+        assert not g.is_automorphism(images)
+        assert g.is_automorphism([1, 0]) and g.is_automorphism((0, 1))
+
 
 class TestInputChecks:
     """Types the vertex count and endpoints must have; the neighbour sets
