@@ -18,7 +18,7 @@ _EXPORTS = {  # submodule: the names it exports here, in __all__ order
     "invariants": "Bounds StabilizerChain bounds determining_number "
                   "disjoint_translate distinguishing_cost "
                   "greedy_distinguishing_chain is_base is_distinguishing "
-                  "motion motion_of reducing_vertex subdegree_report",
+                  "motion reducing_vertex subdegree_report",
     "limitsim": "ConstructionState EpsilonWord PairCertificate alpha "
                 "alpha_inverse_perm alpha_perm depth_budget fixing_oracle "
                 "run_construction verify_distinctness verify_finitary",

@@ -13,13 +13,17 @@ first-child descent individualizes the first path's vertices and its
 first leaf gives gamma: the same generator, in the same place.
 First-path nodes explore or orbit-prune their whole cell, so the
 generators found are strong for the first path as base, and the chain is
-read off them, not Schreier-Sims.
+read off them, not Schreier-Sims.  A vertex is individualized by swapping
+it to the back of its cell, orbits are a union-find joined once per
+generator (nauty's ``orbits``), and a candidate is tested only at the
+vertices it moves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, count
+from itertools import accumulate, compress, count
+from operator import ne
 
 from .graphs import Graph
 from .groups import PermGroup
@@ -66,15 +70,16 @@ class ColoredPartition:
 
     def _individualize(self, v: int, expected: list | None
                        ) -> "ColoredPartition":
-        """A copy with v split off the front of its cell; the partition is
-        equitable, so the singleton is the only pending splitter."""
+        """A copy with v swapped to the back of its cell and split off, so
+        no other vertex changes cell; the partition is equitable, so the
+        singleton is the only pending splitter."""
         p = self._copy()
-        s, i, u = p.cell[v], p.pos[v], p.lab[p.cell[v]]
-        p.lab[s], p.lab[i], p.pos[v], p.pos[u] = v, u, s, i
-        for w in p.lab[s + 1:p.end[s]]:
-            p.cell[w] = s + 1
-        p.end[s + 1], p.end[s] = p.end[s], s + 1
-        p.ncells, p.pending, p.expected = p.ncells + 1, [s], expected
+        lab, pos, s = p.lab, p.pos, p.cell[v]
+        e = p.end[s] - 1
+        u, i = lab[e], pos[v]
+        lab[i], lab[e], pos[u], pos[v] = u, v, i, e
+        p.cell[v], p.end[s], p.end[e] = e, e, e + 1
+        p.ncells, p.pending, p.expected = p.ncells + 1, [e], expected
         return p
 
     @property
@@ -107,8 +112,9 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
     Counts each queued splitter's neighbours and splits every touched cell
     by count, ascending; its subcells are queued, but for the first largest
     if the cell was not.  A singleton splitter's neighbours all count 1, so
-    its neighbour set is the count.  Positions and counts decide everything,
-    so the result is label-invariant.  None if the trace leaves
+    its neighbour set is the count, and it cuts a cell [c, e) into its
+    untouched [c, tail) and touched [tail, e).  Positions and counts decide
+    everything, so the result is label-invariant.  None if the trace leaves
     ``expected``; each split is checked before it moves a vertex.  The
     search hands over its root and each fresh child with ``_owned=True``,
     refined in place instead of copied.
@@ -159,17 +165,27 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
             # touched vertices go to the tail in key order; each untouched
             # one there fills the place of the next touched one before it
             tail = j = e - len(members)
-            starts, last = [c] * (tail > c), None
-            for i, w, key in zip(count(tail), members, keys):
-                if key != last:
-                    starts.append(i)
-                    last = key
-                if pos[w] < tail:
-                    while lab[j] in counts:
+            if single:  # one key: the tail is the one new cell
+                starts = (c, tail)
+                for i, w in enumerate(members, tail):
+                    if pos[w] < tail:
+                        while lab[j] in counts:
+                            j += 1
+                        lab[pos[w]], pos[lab[j]] = lab[j], pos[w]
                         j += 1
-                    lab[pos[w]], pos[lab[j]] = lab[j], pos[w]
-                    j += 1
-                pos[w], cell[w] = i, starts[-1]
+                    pos[w], cell[w] = i, tail
+            else:
+                starts, last = [c] * (tail > c), None
+                for i, w, key in zip(count(tail), members, keys):
+                    if key != last:
+                        starts.append(i)
+                        last = key
+                    if pos[w] < tail:
+                        while lab[j] in counts:
+                            j += 1
+                        lab[pos[w]], pos[lab[j]] = lab[j], pos[w]
+                        j += 1
+                    pos[w], cell[w] = i, starts[-1]
             lab[tail:e] = members
             ncells += len(starts) - 1
             if len(starts) == 2:  # of two equal halves the first is larger
@@ -190,6 +206,17 @@ def refine(g: Graph, partition: ColoredPartition, *, _owned: bool = False
     return p if expected is None or k == len(expected) else None
 
 
+def _join(parent: list[int], images: Sequence[int]) -> None:
+    """Join each moved point's class with its image's; roots stay least."""
+    for a in compress(range(len(images)), map(ne, images, count())):
+        b = images[a]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[max(a, b)] = min(a, b)  # a no-op when they are one
+
+
 def automorphism_group(g: Graph) -> PermGroup:
     """Generators for the full automorphism group of the graph.
 
@@ -202,14 +229,16 @@ def automorphism_group(g: Graph) -> PermGroup:
     # per first-path depth: node, non-singleton vertices, their cells
     first: list[tuple[ColoredPartition, tuple[int, ...], tuple[int, ...]]] = []
     targets: list[int] = []
+    orbits = list(range(n))  # of all generators found so far
 
     def search(part: ColoredPartition, path: tuple[int, ...],
-               on_first: bool) -> bool:
-        # True iff off the first path and an automorphism was found that
-        # maps the first path's subtree onto the rest of this one
+               lead: int) -> bool:
+        # ``lead`` counts the path's first-path vertices.  True iff off
+        # the first path and an automorphism was found that maps the
+        # first path's subtree onto the rest of this one
         depth = len(path)
         cell, end = part.cell, part.end
-        if on_first:
+        if lead == depth:
             verts = tuple(v for v in part.lab if end[cell[v]] > cell[v] + 1)
             first.append((part, verts, tuple(map(cell.__getitem__, verts))))
         else:
@@ -223,29 +252,28 @@ def automorphism_group(g: Graph) -> PermGroup:
                     images[v] = v
                 if g.is_automorphism(images):
                     gens.append(Permutation(images))
+                    _join(orbits, images)
                     return True
         if part.is_discrete:
             return False
         if depth == len(targets):  # all nodes at a depth share the shape
             targets.append(max(sorted(set(cell)), key=lambda s: end[s] - s))
         ti = targets[depth]
-        # Orbit pruning: a sibling in the orbit of an explored one under
-        # the known automorphisms fixing the path adds no generators.
-        # ``reached`` is that orbit, extended as generators arrive.
-        fixing, reached, known, last = [], set(), 0, []
-        for v in sorted(part.lab[ti:end[ti]]):
-            if last:  # the first sibling is always explored
-                fresh = [p for p in gens[known:]
-                         if all(p.images[x] == x for x in path)]
-                known, fixing = len(gens), fixing + fresh
-                queue = last + [p.images[w] for p in fresh for w in reached]
-                for w in queue:  # the queue grows while it is read
-                    if w not in reached:
-                        reached.add(w)
-                        queue.extend(p.images[w] for p in fixing)
-                if v in reached:
+        # Orbit pruning: a sibling that is not the least of its orbit
+        # under the known automorphisms fixing the path is in the orbit of
+        # an explored one.  Depth first, every generator found so far fixes
+        # each open first-path node's path; off it, none arrives here.
+        parent = orbits if lead == depth else None
+        siblings = sorted(part.lab[ti:end[ti]])
+        for v in siblings:
+            if v != siblings[0]:  # the first sibling is always explored
+                if parent is None:
+                    parent = list(range(n))
+                    for p in gens:
+                        if all(p.images[x] == x for x in path[lead:]):
+                            _join(parent, p.images)
+                if parent[v] != v:  # not a root
                     continue
-            last = [v]
             extends = len(first) == depth + 1
             child = refine(g, part._individualize(
                 v, None if extends else first[depth + 1][0].trace),
@@ -254,9 +282,9 @@ def automorphism_group(g: Graph) -> PermGroup:
                 continue
             if extends:
                 first_path.append(v)
-            if search(child, path + (v,), extends) and not on_first:
+            if search(child, path + (v,), lead + extends) and lead < depth:
                 return True
         return False
 
-    search(refine(g, ColoredPartition.unit(n), _owned=True), (), True)
+    search(refine(g, ColoredPartition.unit(n), _owned=True), (), 0)
     return PermGroup.from_strong_generators(n, gens, first_path)

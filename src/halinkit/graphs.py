@@ -98,13 +98,14 @@ class Graph:
 
     def is_automorphism(self, images: Sequence[int]) -> bool:
         """True iff the image array is a bijection of ints (no bools or
-        floats) preserving adjacency."""
+        floats) preserving adjacency: N(pi(v)) = pi(N(v)) at each vertex v
+        it moves, as an edge between two fixed vertices is fixed."""
         if (set(map(type, images)) - {int}
                 or sorted(images) != list(range(self.n))):
             return False
-        return all((images[i], images[j]) in self.edges
-                   or (images[j], images[i]) in self.edges
-                   for i, j in self.edges)
+        adj = self.adjacency
+        return all(adj[images[v]] == set(map(images.__getitem__, adj[v]))
+                   for v in range(self.n) if images[v] != v)
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Graph with every vertex i renamed to images[i]."""
@@ -251,23 +252,20 @@ def from_json(obj: str | dict) -> Graph:
     if "n" not in obj or "edges" not in obj:
         raise ValueError("JSON graph requires 'n' and 'edges'")
     n = obj["n"]
-    if not _is_int(n):
+    if not isinstance(n, int) or isinstance(n, bool):  # JSON ints only
         raise ValueError("'n' must be an integer")
     edges = obj["edges"]
-    if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and
-            all(_is_int(x) for x in e) for e in edges):
+    if not (isinstance(edges, list)
+            and all(map(isinstance, edges, repeat(list)))
+            and set(map(len, edges)) <= {2}
+            and all(issubclass(t, int) and t is not bool
+                    for t in set(map(type, chain.from_iterable(edges))))):
         raise ValueError("'edges' must be a list of [i, j] pairs")
     labels = obj.get("labels")
     if labels is not None and not (isinstance(labels, list) and all(
             isinstance(lab, str) for lab in labels)):
         raise ValueError("'labels' must be a list of strings")
     return Graph(n, edges, labels)
-
-
-def _is_int(x: object) -> bool:
-    """JSON integers only: bool is a subclass of int but not a vertex."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def to_json(g: Graph) -> dict:

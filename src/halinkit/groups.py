@@ -310,11 +310,6 @@ class PermGroup:
             self._chain = _schreier_sims(self.degree, self.generators)
         return self._chain
 
-    def build_bsgs(self) -> "PermGroup":
-        """Force the BSGS; afterwards order and membership queries are exact."""
-        self.chain()
-        return self
-
     def order(self) -> int:
         return self.chain().order()
 

@@ -154,11 +154,6 @@ def distinguishing_cost(
     return _least_subset(group, is_distinguishing, budget, group.degree // 2)
 
 
-def motion_of(p: Permutation) -> int:
-    """Number of points the permutation moves."""
-    return p.num_moved()
-
-
 def motion(group: PermGroup) -> tuple[int, Permutation]:
     """Minimum motion over nontrivial elements, with a witness.
 

@@ -46,6 +46,23 @@ def hypercube(d):
                      if not v >> b & 1])
 
 
+def rook(k):
+    """The k x k rook's graph: cells (i, j) as i * k + j, adjacent in a
+    shared row or column.  For k = 4 it is strongly regular (16, 6, 2, 2)."""
+    return Graph(k * k, [(a, b) for a in range(k * k)
+                         for b in range(a + 1, k * k)
+                         if a // k == b // k or a % k == b % k])
+
+
+def shrikhande():
+    """The Shrikhande graph: Z4 x Z4, (i, j) as 4i + j, adjacent when they
+    differ by +-(0, 1), +-(1, 0) or +-(1, 1).  It is strongly regular with
+    the rook's graph's parameters, and is not isomorphic to it."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph(16, [(a, b) for a in range(16) for b in range(a + 1, 16)
+                      if ((b // 4 - a // 4) % 4, (b - a) % 4) in steps])
+
+
 def random_regular(n, d, rng):
     """A random simple d-regular graph on n vertices (pairing model)."""
     while True:

@@ -618,6 +618,18 @@ def refine_by_counts(g, partition):
     return p if expected is None or len(trace) == len(expected) else None
 
 
+def is_automorphism_by_edge_scan(g, images):
+    """``Graph.is_automorphism`` by testing the image of every edge: true
+    iff the image array is a bijection of ints (no bools or floats) that
+    maps each edge to an edge."""
+    if (set(map(type, images)) - {int}
+            or sorted(images) != list(range(g.n))):
+        return False
+    return all((images[i], images[j]) in g.edges
+               or (images[j], images[i]) in g.edges
+               for i, j in g.edges)
+
+
 def automorphism_group_by_full_descent(g):
     """The IR search without the early-leaf rule: every subtree off the
     first path is descended to a leaf, whose map from the first leaf is
@@ -642,7 +654,7 @@ def automorphism_group_by_full_descent(g):
                 first_leaf = part.pos
                 return False
             images = list(map(part.lab.__getitem__, first_leaf))
-            if not g.is_automorphism(images):
+            if not is_automorphism_by_edge_scan(g, images):
                 return False
             gens.append(Permutation(images))
             return True

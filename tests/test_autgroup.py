@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,15 +10,23 @@ from halinkit.graphs import (Graph, binary_tree, comb, complete,
 from halinkit.groups import _schreier_sims
 from halinkit.perms import Permutation
 
-from corpus import hypercube, planted, random_regular, small_corpus
+from corpus import (hypercube, planted, random_regular, rook, shrikhande,
+                    small_corpus)
 from oracles import (automorphism_group_by_full_descent, brute_automorphisms,
-                     coarsest_equitable, networkx_automorphisms,
-                     refine_by_counts)
+                     coarsest_equitable, is_automorphism_by_edge_scan,
+                     networkx_automorphisms, refine_by_counts)
 
 
 def disjoint_union(g, copies):
-    return Graph(g.n * copies, [(i + k * g.n, j + k * g.n)
-                                for k in range(copies) for i, j in g.edges])
+    return disjoint_sum(*[g] * copies)
+
+
+def disjoint_sum(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset) for i, j in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
 
 
 def differential_graphs():
@@ -90,6 +100,34 @@ class TestRefine:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             ColoredPartition([(0, 1), (1, 2)])
+
+    def test_individualize_touches_constant_entries(self):
+        # v swaps places with the last vertex of its cell [s, e) and becomes
+        # the cell at e - 1: one cell entry, at most two lab and pos
+        # entries, and the ends at s and e - 1
+        rng = random.Random(17)
+        for g in oracle_graphs(rng)[::4]:
+            q = refine(g, ColoredPartition.unit(g.n))
+            while not q.is_discrete:
+                for v in range(g.n):
+                    s = q.cell[v]
+                    if q.end[s] - s == 1:
+                        continue
+                    child = q._individualize(v, None)
+                    diff = {name: {i for i, (a, b) in enumerate(
+                                zip(getattr(q, name), getattr(child, name)))
+                                if a != b}
+                            for name in ("lab", "pos", "cell", "end")}
+                    e = q.end[s] - 1
+                    assert diff["cell"] == {v} and child.cell[v] == e
+                    assert child.lab[e] == v and len(diff["lab"]) <= 2
+                    assert len(diff["pos"]) <= 2
+                    assert diff["end"] == {s, e} and child.end[e] == e + 1
+                    assert (child.ncells, child.pending) == (q.ncells + 1, [e])
+                s = rng.choice(sorted(a for a in set(q.cell)
+                                      if q.end[a] - a > 1))
+                q = refine(g, q._individualize(
+                    rng.choice(q.lab[s:q.end[s]]), None))
 
 
 def refined_state(p):
@@ -345,6 +383,35 @@ class TestAutomorphismGroup:
             assert got.generators == want.generators
             assert got.chain().base == want.chain().base
 
+    def test_generators_and_bases_digest(self):
+        # the generators and bases of the full-descent graphs, pinned by
+        # digest: the full-descent oracle shares _individualize and the
+        # partition layout, so it cannot see a change there
+        data = json.dumps([[list(group.chain().base),
+                            [list(p.images) for p in group.generators]]
+                           for group in map(automorphism_group,
+                                            full_descent_graphs())],
+                          separators=(",", ":"))
+        assert hashlib.sha256(data.encode()).hexdigest() == (
+            "823c61c6ffe42ff8af8e6a9a240317646b48251e0c9b2f307f9bfe76df2d4285")
+
+    def test_off_path_orbit_pruning_matches_full_descent(self):
+        # refinement cannot tell the Shrikhande graph's vertices from the
+        # rook's graph's, so subtrees off the first path fail, and their
+        # nodes orbit-prune siblings by the generators that fix their path
+        rng = random.Random(19)
+        s, r, p = shrikhande(), rook(4), petersen()
+        for parts in ((s, r), (r, s), (s, s, r), (r, s, r), (r, s, s),
+                      (s, r, p, p)):
+            g = disjoint_sum(*parts)
+            images = list(range(g.n))
+            rng.shuffle(images)
+            for h in (g, g.relabel(images)):
+                got, want = (automorphism_group(h),
+                             automorphism_group_by_full_descent(h))
+                assert got.generators == want.generators
+                assert got.chain().base == want.chain().base
+
     def test_refine_count_is_linear_on_combs_edgeless_and_complete(
             self, monkeypatch):
         # a subtree off the first path ends at its first node; descending
@@ -378,3 +445,37 @@ class TestAutomorphismGroup:
                          (complete_bipartite(5, 5), 9), (cycle(40), 2),
                          (binary_tree(4).graph, 15), (comb(6).graph, 7)):
             assert len(automorphism_group(g).generators) == count
+
+
+class TestIsAutomorphism:
+    def test_matches_edge_scan(self):
+        # the local test at the moved vertices against the whole-edge scan:
+        # the search's generators, each also times a random transposition,
+        # random permutations, non-bijections, and arrays holding a bool or
+        # a float
+        rng = random.Random(18)
+        verdicts = set()
+        for g in oracle_graphs(rng):
+            n = g.n
+            cases = [list(p.images) for p in automorphism_group(g).generators]
+            for images in cases[:]:
+                a, b = rng.sample(range(n), 2)
+                images = images[:]
+                images[a], images[b] = images[b], images[a]
+                cases.append(images)
+            for _ in range(3):
+                cases.append(rng.sample(range(n), n))
+            for images in cases[:]:
+                i = rng.randrange(n)
+                j = images.index(rng.randrange(min(n, 2)))  # a 0 or a 1
+                for k, x in ((i, images[i - 1]), (i, n), (i, -1),
+                             (i, float(images[i])), (j, bool(images[j]))):
+                    bad = images[:]
+                    bad[k] = x
+                    cases.append(bad)
+                cases += [images[:-1], images + [n], tuple(images)]
+            for images in cases:
+                verdict = g.is_automorphism(images)
+                assert verdict == is_automorphism_by_edge_scan(g, images)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -363,6 +363,23 @@ class TestJsonFormat:
         g = from_json({"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]})
         assert g.labels == ("a", "b")
 
+    @pytest.mark.parametrize("edges", [
+        {"0": 1}, [(0, 1)], [[0, 1], [1]], [[0, 1, 2]], [[0, 1], 2],
+        [[0, True]], [[False, 1]], [[0, 1.0]], [[0, "1"]], [[0, None]],
+        [[0, 1], [[1], 2]]])
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"'edges' must be a list of "
+                                             r"\[i, j\] pairs"):
+            from_json({"n": 3, "edges": edges})
+
+    def test_int_subclass_endpoint_reaches_graph(self):
+        # it passes the JSON check as an int, and Graph rejects it
+        class Vertex(int):
+            pass
+
+        with pytest.raises(TypeError, match="must be ints"):
+            from_json({"n": 3, "edges": [[0, Vertex(1)]]})
+
 
 class TestFamilies:
     def test_cycle4(self):

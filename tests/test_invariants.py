@@ -11,7 +11,7 @@ from halinkit.invariants import (Bounds, BudgetExceededError, StabilizerChain,
                                  determining_number, disjoint_translate,
                                  distinguishing_cost,
                                  greedy_distinguishing_chain, is_base,
-                                 is_distinguishing, motion, motion_of,
+                                 is_distinguishing, motion,
                                  reducing_vertex, subdegree_report)
 from halinkit.perms import Permutation
 from halinkit.groups import PermGroup, _Chain
@@ -164,9 +164,6 @@ class TestMotion:
     def test_complete5(self):
         m, witness = motion(aut(complete(5)))
         assert m == 2 and witness.num_moved() == 2
-
-    def test_motion_of_identity(self):
-        assert motion_of(Permutation.identity(6)) == 0
 
     def test_cycle6(self):
         m, witness = motion(aut(cycle(6)))
