@@ -12,6 +12,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress, count, repeat
 
+from .perms import is_permutation
 from .record import Record
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -100,16 +101,15 @@ class Graph:
         """True iff the image array is a bijection of ints (no bools or
         floats) preserving adjacency: N(pi(v)) = pi(N(v)) at each vertex v
         it moves, as an edge between two fixed vertices is fixed."""
-        if (set(map(type, images)) - {int}
-                or sorted(images) != list(range(self.n))):
+        if len(images) != self.n or not is_permutation(images):
             return False
         adj = self.adjacency
         return all(adj[images[v]] == set(map(images.__getitem__, adj[v]))
                    for v in range(self.n) if images[v] != v)
 
     def relabel(self, images: Sequence[int]) -> "Graph":
-        """Graph with every vertex i renamed to images[i]."""
-        if sorted(images) != list(range(self.n)):
+        """Graph with every vertex i renamed to images[i], a permutation."""
+        if len(images) != self.n or not is_permutation(images):
             raise ValueError("relabeling must be a permutation")
         edges = [(images[i], images[j]) for i, j in self.edges]
         labels = None

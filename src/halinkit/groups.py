@@ -15,7 +15,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .perms import Permutation
+from .perms import Permutation, point_set
 
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -87,10 +87,9 @@ class _Chain:
 
     def rebased(self, points: Sequence[int]) -> "_Chain":
         """A chain of the same group whose base starts with the distinct
-        points, in order.  Points not in the base enter as last levels with
-        orbit {p}; swaps of adjacent base points then move each point up to
-        its place.  A point not an int in 0..degree-1 raises ValueError."""
-        _vertex_set(self.degree, points)
+        points, in order, each an int in 0..degree-1 (callers check them).
+        Points not in the base enter as last levels with orbit {p}; swaps of
+        adjacent base points then move each point up to its place."""
         new = [p for p in points if p not in self.base]
         e = Permutation.identity(self.degree)
         chain = _Chain(self.degree, self.base + new,
@@ -215,14 +214,6 @@ class _Chain:
                     skip |= group.orbit(a)
 
 
-def _vertex_set(degree: int, points: Iterable[int]) -> frozenset[int]:
-    """The points; ValueError unless each is an int (not bool) in 0..degree-1."""
-    points = list(points)
-    if set(map(type, points)) - {int} or not all(0 <= p < degree for p in points):
-        raise ValueError(f"points {points!r} out of range 0..{degree - 1}")
-    return frozenset(points)
-
-
 def _orbit_transversal(degree: int, point: int,
                        gens: Sequence[Permutation]) -> dict[int, Permutation]:
     t = {point: Permutation.identity(degree)}
@@ -322,9 +313,9 @@ class PermGroup:
         return self.chain().sift(p)[1].is_identity()
 
     def orbit(self, x: int) -> frozenset[int]:
-        """The orbit of a point under the group, by closure over generators."""
-        if type(x) is not int or not 0 <= x < self.degree:
-            raise ValueError(f"point {x!r} out of range 0..{self.degree - 1}")
+        """The orbit of a point under the group, by closure over generators;
+        ValueError unless x is an int in 0..degree-1."""
+        point_set(self.degree, (x,))
         seen = {x}
         queue = [x]
         for a in queue:  # the queue grows while it is read
@@ -361,7 +352,7 @@ class PermGroup:
     def point_stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """Subgroup fixing every given point, read off the group's chain
         rebased on them; ValueError unless each is an int in 0..degree-1."""
-        points = _vertex_set(self.degree, points)
+        points = point_set(self.degree, points)
         if not points:
             return self
         chain, m = self.chain().rebased(sorted(points)), len(points)
@@ -377,7 +368,7 @@ class PermGroup:
         generators found so far reach or refute are never walked (see
         ``_Chain.set_stabilizer_gens``).  The group keeps its last answer,
         so asking for the same set again runs no second backtrack."""
-        target = _vertex_set(self.degree, points)
+        target = point_set(self.degree, points)
         if not target:
             return self
         if self._last_set_stabilizer[0] != target:
@@ -390,7 +381,7 @@ class PermGroup:
         """True iff only the identity preserves the set: the backtrack of
         :meth:`set_stabilizer` stops at its first non-identity generator and
         builds no group, so True means that every walk failed."""
-        target = _vertex_set(self.degree, points)
+        target = point_set(self.degree, points)
         chain = self.chain().rebased(sorted(target))
         return all(map(Permutation.is_identity, chain.set_stabilizer_gens(len(target))))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
-from .perms import Permutation
+from .perms import Permutation, point_set
 from .record import Record
 
 
@@ -190,12 +190,10 @@ def disjoint_translate(group: PermGroup, y: Iterable[int],
     Finite groups may have no such element; the search walks the stabilizer
     chain depth-first, pruning branches whose decided images of Z already
     meet Y, and stops at the first level whose base prefix holds all of Z.
-    A vertex out of range raises ValueError.
+    A vertex not an int in 0..degree-1 raises ValueError.
     """
-    yset = frozenset(y)
-    zset = frozenset(z)
-    if not all(0 <= v < group.degree for v in yset | zset):
-        raise ValueError(f"vertices out of range 0..{group.degree - 1}")
+    yset = point_set(group.degree, y)
+    zset = point_set(group.degree, z)
     if not yset or not zset:
         return Permutation.identity(group.degree)
     chain = group.chain()
@@ -226,7 +224,7 @@ def reducing_vertex(group: PermGroup, y: Iterable[int]) -> int | None:
     Returns None ("stalled") when no vertex produces a proper subgroup,
     which finite graphs can legitimately hit.
     """
-    yset = frozenset(y)
+    yset = point_set(group.degree, y)
     if len(yset) < 2:
         raise ValueError("reducing vertex needs |Y| >= 2")
     stab_y = group.set_stabilizer(yset)
@@ -261,7 +259,7 @@ def greedy_distinguishing_chain(group: PermGroup,
     reduction step only sees |Y| >= 2.  A stalled run returns the partial
     chain, flagged.  The group keeps its last set stabilizer for reducing_vertex.
     """
-    base_set = frozenset(base)
+    base_set = point_set(group.degree, base)
     if not is_base(group, base_set):
         raise ValueError("the starting set must be a base (trivial pointwise stabilizer)")
     orders, added, current = [group.set_stabilizer(base_set).order()], [], base_set

@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 from operator import eq
 
 from .graphs import TruncatedFamily
-from .perms import Permutation
+from .perms import Permutation, point_set
 from .record import Record
 from .topology import Exhaustion
 
@@ -155,10 +155,8 @@ def fixing_oracle(family: TruncatedFamily,
     swaps are involutions.  None means the truncation depth has no swap
     site left ("exhausted").
     """
-    fset = frozenset(fixed)
     n = family.graph.n
-    if not all(0 <= v < n for v in fset):
-        raise ValueError("fixed set out of vertex range")
+    fset = point_set(n, fixed)
     if fset & family.boundary:
         raise ValueError("fixed set touches the truncation boundary")
     if family.kind == "binary-tree":
@@ -374,11 +372,10 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
 
     With N the largest enumeration index in the tuple, the images under
     alpha_m^eps must agree for every m in (N, R); R is limited by both the
-    completed rounds and the word length.  Vertices out of range, or a word
-    that is not an ``EpsilonWord``'s bits, raise ValueError.
+    completed rounds and the word length.  Vertices not ints in 0..n-1, or a
+    word that is not an ``EpsilonWord``'s bits, raise ValueError.
     """
-    if not all(0 <= v < state.family.graph.n for v in vertices):
-        raise ValueError(f"vertices {list(vertices)} out of range")
+    point_set(state.family.graph.n, vertices)
     bits = EpsilonWord(tuple(word)).bits
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)

@@ -10,14 +10,30 @@ from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 
 
+def point_set(degree: int, points: Iterable[int]) -> frozenset[int]:
+    """The points as a set; ValueError unless each is an int (not a bool)
+    in 0..degree-1."""
+    points = list(points)
+    if set(map(type, points)) - {int} or not all(0 <= p < degree for p in points):
+        raise ValueError(f"points {points!r} out of range 0..{degree - 1}")
+    return frozenset(points)
+
+
+def is_permutation(images: Sequence[int]) -> bool:
+    """True iff every image is an int (not a bool) and each of
+    0..len(images)-1 appears exactly once."""
+    return (not set(map(type, images)) - {int}
+            and sorted(images) == list(range(len(images))))
+
+
 class Permutation:
     """An immutable bijection of {0..n-1}, stored as a tuple of images."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)  # of type int exactly: no bools, floats, None
-        if set(map(type, imgs)) - {int} or sorted(imgs) != list(range(len(imgs))):
+        imgs = tuple(images)
+        if not is_permutation(imgs):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         self.images = imgs
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
-from .perms import Permutation
+from .perms import Permutation, point_set
 
 
 class Exhaustion:
@@ -27,12 +27,9 @@ class Exhaustion:
     __slots__ = ("degree", "sets", "_layers")
 
     def __init__(self, degree: int, sets: Iterable[Iterable[int]]):
-        canon = tuple(frozenset(s) for s in sets)
+        canon = tuple(point_set(degree, s) for s in sets)
         if not canon or not canon[0]:
             raise ValueError("exhaustion needs a nonempty first set")
-        for s in canon:
-            if not all(0 <= x < degree for x in s):
-                raise ValueError("exhaustion set out of domain range")
         for a, b in zip(canon, canon[1:]):
             if not a < b:
                 raise ValueError("exhaustion sets must be strictly nested")

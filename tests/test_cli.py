@@ -470,6 +470,101 @@ class TestDeterminism:
         assert len(outputs) == 1
 
 
+class TestPretty:
+    """``--pretty`` text of one request per command, minus its last line,
+    the wall time."""
+
+    CYCLE6 = ("sha256:03b8192e64a1eb1d6144fc2732e13a132187401048735f9befaa398"
+              "c7750563e")
+    CASES = {
+        "aut": (("aut", "--family", "petersen"), [
+            "command: aut",
+            "input: n=10 edges=15 sha256:e7ad00c742420b6ceb891afdcb07142b38d"
+            "a1f7644fb6b1773099acb041e2336",
+            "order: 120",
+            "generators (3):",
+            "  [0, 1, 2, 7, 5, 4, 6, 3, 9, 8]",
+            "  [0, 4, 3, 8, 5, 1, 9, 2, 6, 7]",
+            "  [1, 2, 3, 8, 6, 0, 7, 4, 5, 9]",
+        ]),
+        "greedy": (("greedy", "--family", "cycle", "--n", "8", "--base", "0,1"), [
+            "command: greedy",
+            "input: n=8 edges=8 sha256:3939ae08ce95732343c44a5e811f770c89e61"
+            "ed6c9bdb0db7283a661b79cbc30",
+            "stabilizer chain:",
+            "  step  set        stabilizer order",
+            "  ----  ---------  ----------------",
+            "  0     [0, 1]     2               ",
+            "  1     [0, 1, 3]  1               ",
+            "  stalled: False  completed: True",
+            'bounds: {"chain_bound": 1, "cost_bound": 3, "n": 2, "popcount": 1}',
+            "within_bound: true",
+        ]),
+        "limit-sim": (("limit-sim", "--family", "comb", "--depth", "4",
+                       "--k", "3"), [
+            "command: limit-sim",
+            "input: n=13 edges=12 sha256:4eb9240dc3ca7ddc2a5311049f77121c80e"
+            "2e4579fddd6dfda0e3173114ff09b",
+            'construction: {"completed_rounds": 3, "depth": 4, "exhausted": '
+            'false, "exhausted_prefix": 4, "family": "comb", "fsets": [[0], '
+            '[0, 1, 2], [0, 1, 2, 3, 5], [0, 1, 2, 3, 5, 6, 8]], "phis": '
+            '[[0, 1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12], '
+            '[0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 11, 12], '
+            '[0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12]], '
+            '"requested_rounds": 3, "xs": [2, 5, 8]}',
+            'distinctness: {"pairs": 28, "witnessed": 28}',
+            "cauchy table (max tail distance per round):",
+            "  k  max d",
+            "  -  -----",
+            "  0  1/4  ",
+            "  1  1/8  ",
+            "inverse_consistency: true",
+        ]),
+        "topology": (("topology", "--family", "cycle", "--n", "4",
+                      "--exhaustion", "0|0,1|0,1,2,3",
+                      "--pair", "[1,2,3,0]", "[0,1,2,3]"), [
+            "command: topology",
+            "input: n=4 edges=4 sha256:dc213bfd5d7f0a3647a9761a008855a298a4c"
+            "1437e3859f4bc79b3e88c2a7cde",
+            "exhaustion: [[0], [0, 1], [0, 1, 2, 3]]",
+            "covers: true",
+            "distance queries:",
+            "  a             b             conf  d  d*",
+            "  ------------  ------------  ----  -  --",
+            "  [1, 2, 3, 0]  [0, 1, 2, 3]  0     1  2 ",
+        ]),
+        "base": (("base", "--family", "cycle", "--n", "6"), [
+            "command: base",
+            f"input: n=6 edges=6 {CYCLE6}",
+            "determining_number: 2",
+            "witness: [0, 1]",
+        ]),
+        "cost": (("cost", "--family", "cycle", "--n", "6"), [
+            "command: cost",
+            f"input: n=6 edges=6 {CYCLE6}",
+            "rho: 3",
+            "witness: [0, 1, 3]",
+            "exists: true",
+        ]),
+        "motion": (("motion", "--family", "complete", "--n", "5"), [
+            "command: motion",
+            "input: n=5 edges=10 sha256:e73809d7b5880e4fe0caffb0d166c9ac2acb"
+            "41e2630b206835cf19fa2da3fcdd",
+            "motion: 2",
+            "witness: [0, 1, 2, 4, 3]",
+        ]),
+    }
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_rendered_text(self, capsys, command):
+        argv, expected = self.CASES[command]
+        code, out, err = run_cli(capsys, *argv, "--pretty")
+        assert (code, err) == (0, "")
+        *lines, wall = out.split("\n")[:-1]
+        assert re.fullmatch(r"wall time: [0-9.]+ ms", wall)
+        assert lines == expected
+
+
 class TestImportPath:
     """``import halinkit.cli`` loads only what every command needs; the
     modules a few commands need are imported where they are used."""

@@ -149,8 +149,6 @@ class TestSetStabilizer:
         failed a comparison with TypeError, and True was read as vertex 1."""
         with pytest.raises(ValueError, match="out of range"):
             getattr(d8, query)(points)
-        with pytest.raises(ValueError, match="out of range"):
-            d8.chain().rebased(points)
 
     def test_kept_answer_does_not_admit_a_bool(self, d8):
         assert d8.set_stabilizer({1}).order() == 2
