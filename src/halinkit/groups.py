@@ -45,14 +45,14 @@ class _Chain:
     """A stabilizer chain: base points plus per-level generators/transversals.
 
     Level i holds generators of the pointwise stabilizer of base[:i] and the
-    transversal of the orbit of base[i] under them, with the orbit sorted in
-    ``orbits[i]``.  The pointwise stabilizer of the first m base points is
-    generated by ``gens[m]``, for m = 0..len(base); each list holds the next
-    one, so ``gens[0]`` is a strong generating set.  :meth:`rebased` moves
-    given points to the front of the base by swapping adjacent base points.
+    transversal of the orbit of base[i] under them, keyed in ascending point
+    order, the order :meth:`walk` visits.  ``gens[m]`` generates the
+    pointwise stabilizer of base[:m], for m = 0..len(base); each list holds
+    the next one, so ``gens[0]`` is a strong generating set.  :meth:`rebased`
+    moves given points to the front of the base by swapping adjacent points.
     """
 
-    __slots__ = ("degree", "base", "gens", "transversals", "orbits")
+    __slots__ = ("degree", "base", "gens", "transversals")
 
     def __init__(self, degree: int, base: list[int],
                  gens: list[list[Permutation]],
@@ -61,7 +61,6 @@ class _Chain:
         self.base = base
         self.gens = gens
         self.transversals = transversals
-        self.orbits = [sorted(t) for t in transversals]
 
     @classmethod
     def read(cls, degree: int, base: Sequence[int],
@@ -118,7 +117,7 @@ class _Chain:
             size = len(t_b) * len(t_c) // len(t)
             self.gens[i + 1] = list(self.gens[i + 2])
             orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
-            for a in self.orbits[i]:
+            for a in t_b:
                 if len(orbit_b) == size:
                     break
                 d = -1 if a in orbit_b else t_b[a].images.index(c)
@@ -129,10 +128,9 @@ class _Chain:
                     orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
         self.base[i:i + 2] = c, b
         self.transversals[i:i + 2] = t, orbit_b
-        self.orbits[i:i + 2] = sorted(t), sorted(orbit_b)
 
     def order(self) -> int:
-        return math.prod(map(len, self.orbits))
+        return math.prod(map(len, self.transversals))
 
     def sift(self, p: Permutation, start: int = 0
              ) -> tuple[int, Permutation]:
@@ -154,64 +152,76 @@ class _Chain:
         stop to the chain length).  The child with u_level(base[level]) = a
         is entered only if ``keep(level, w, a)``, asked before its product,
         which maps base[level] to w(a), is formed.  A stack of (product,
-        unvisited orbit points) pairs, one per level, stands in for
+        unvisited transversal entries) pairs, one per level, stands in for
         recursion, so no chain is too deep to walk."""
         w = Permutation.identity(self.degree) if w is None else w
         stop = len(self.base) if stop is None else stop
         if level == stop:
             yield w
             return
-        stack = [(w, iter(self.orbits[level]))]
+        stack = [(w, iter(self.transversals[level].items()))]
         while stack:
             j = level + len(stack) - 1
             w, points = stack[-1]
-            for a in points:
+            for a, u in points:
                 if keep is None or keep(j, w, a):
-                    child = w * self.transversals[j][a]
+                    child = w * u
                     if j + 1 == stop:
                         yield child
                     else:
-                        stack.append((child, iter(self.orbits[j + 1])))
+                        stack.append((child, iter(self.transversals[j + 1].items())))
                         break
             else:
                 stack.pop()
 
     def element(self, r: int) -> Permutation:
-        """Element r of the order ``walk`` lists the group in, built from
-        r's mixed-radix digits (level 0 most significant) with one gather
-        per level whose digit is not the base point."""
+        """Element r of the order ``walk`` lists the group in: r's mixed-radix
+        digit d at level j (level 0 most significant) picks the d-th key of
+        its transversal, with one gather per key that is not the base point."""
         images = tuple(range(self.degree))
-        for b, t, orbit in zip(reversed(self.base), reversed(self.transversals),
-                               reversed(self.orbits)):  # images <- u_j * images
-            r, digit = divmod(r, len(orbit))
-            if orbit[digit] != b:  # so degree >= 2: itemgetter gives a tuple
-                images = itemgetter(*images)(t[orbit[digit]].images)
+        for b, t in zip(reversed(self.base), reversed(self.transversals)):
+            r, digit = divmod(r, len(t))  # images <- u_j * images
+            a = list(t)[digit]
+            if a != b:  # so degree >= 2: itemgetter gives a tuple
+                images = itemgetter(*images)(t[a].images)
         return Permutation._raw(images)
 
     def set_stabilizer_gens(self, m: int) -> Iterator[Permutation]:
         """Strong generators of the stabilizer of the set base[:m], yielded
         as found: level m's, then leaves for levels j = m-1 down to 0.  All
-        found so far fix base[:j]; an image a of base[j] in the set is skipped
-        if their orbit of base[j] holds a, or the orbit of a failed image did
-        when it failed.  Otherwise its walk's first leaf, a coset product that
-        keeps every decided image in the set, if any, joins them."""
-        group = PermGroup(self.degree, self.gens[m])
-        yield from group.generators
+        found so far, one plain list, fix base[:j]; an image a of base[j] in
+        the set is skipped if their orbit of base[j] holds a, or the orbit of
+        a failed image did when it failed.  Otherwise the first coset product
+        of its walk keeping every decided image in the set, if any, joins them."""
+        gens = list(self.gens[m])
+        yield from gens
         target = frozenset(self.base[:m])
 
         def keep(level: int, w: Permutation, a: int) -> bool:
             return w(a) in target
 
         for j in reversed(range(m)):
-            skip = set(group.orbit(self.base[j]))
-            for a in self.orbits[j]:
+            skip = _orbit(gens, self.base[j])
+            for a, u in self.transversals[j].items():
                 if a in target and a not in skip:
-                    leaf = next(self.walk(keep, j + 1, self.transversals[j][a],
-                                          m), None)
+                    leaf = next(self.walk(keep, j + 1, u, m), None)
                     if leaf is not None:
                         yield leaf
-                        group = PermGroup(self.degree, group.generators + (leaf,))
-                    skip |= group.orbit(a)
+                        gens.append(leaf)
+                    skip |= _orbit(gens, a)
+
+
+def _orbit(gens: Sequence[Permutation], x: int) -> set[int]:
+    """The orbit of x under the generators, by closure."""
+    seen = {x}
+    queue = [x]
+    for a in queue:  # the queue grows while it is read
+        for g in gens:
+            b = g.images[a]
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return seen
 
 
 def _orbit_transversal(degree: int, point: int,
@@ -225,7 +235,7 @@ def _orbit_transversal(degree: int, point: int,
             if b not in t:
                 t[b] = g * ua
                 queue.append(b)
-    return t
+    return {a: t[a] for a in sorted(t)}  # keys ascending
 
 
 def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
@@ -246,8 +256,7 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
     while i >= 0:
         stuck: tuple[int, Permutation] | None = None
         t_i = chain.transversals[i]
-        for a in chain.orbits[i]:
-            ua = t_i[a]
+        for a, ua in t_i.items():
             for g in chain.gens[i]:
                 ub = t_i[g(a)]
                 schreier = ub.inverse() * (g * ua)
@@ -316,22 +325,14 @@ class PermGroup:
         """The orbit of a point under the group, by closure over generators;
         ValueError unless x is an int in 0..degree-1."""
         point_set(self.degree, (x,))
-        seen = {x}
-        queue = [x]
-        for a in queue:  # the queue grows while it is read
-            for g in self.generators:
-                b = g.images[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return frozenset(seen)
+        return frozenset(_orbit(self.generators, x))
 
     def orbits(self) -> list[frozenset[int]]:
         seen: set[int] = set()
         out = []
         for v in range(self.degree):
             if v not in seen:
-                orb = self.orbit(v)
+                orb = frozenset(_orbit(self.generators, v))
                 seen |= orb
                 out.append(orb)
         return out
@@ -341,8 +342,8 @@ class PermGroup:
 
         Element r is u_0 * ... * u_{l-1}, u_j the transversal element of
         chain level j whose point sits at r's j-th mixed-radix digit (level
-        0 most significant) in the level's sorted orbit.  ``_Chain.walk``
-        and ``_Chain.element`` implement this order.
+        0 most significant) among the level's transversal keys, ascending.
+        ``_Chain.walk`` and ``_Chain.element`` implement this order.
         """
         order = self.order()
         if order > limit:

@@ -64,7 +64,7 @@ class Permutation:
                 images[a] = b
             if cycle:
                 images[cycle[-1]] = cycle[0]
-        return cls(images)
+        return cls._raw(tuple(images))
 
     @property
     def degree(self) -> int:

@@ -239,7 +239,7 @@ def prefixed_schreier_sims(group, points):
     while i >= 0 and chain.order() != order:
         stuck = None
         t_i = chain.transversals[i]
-        for a in chain.orbits[i]:
+        for a in list(chain.transversals[i]):
             for g in chain.gens[i]:
                 schreier = t_i[g(a)].inverse() * (g * t_i[a])
                 if not schreier.is_identity():

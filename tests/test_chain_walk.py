@@ -89,7 +89,8 @@ def test_walk_asks_keep_before_each_child():
     product maps base[level] to w(a), and pruned children are never
     formed."""
     chain = dihedral(6).chain()
-    assert chain.base == [0, 1] and chain.orbits == [list(range(6)), [1, 5]]
+    assert chain.base == [0, 1]
+    assert [list(t) for t in chain.transversals] == [list(range(6)), [1, 5]]
     calls = []
 
     def keep(level, w, a):

@@ -263,6 +263,17 @@ class TestTopology:
         assert code == 2 and out == ""
         assert "bad permutation pair" in err
 
+    @pytest.mark.parametrize("image", ["5", "null", '"ab"', "{}", "[true,0]",
+                                       "[1.5,0]", "[0,0]"])
+    def test_bad_pair_exit2_without_traceback(self, capsys, image):
+        # the CLI checks only for a JSON list; Permutation checks the entries
+        code, out, err = run_cli(
+            capsys, "topology", "--family", "path", "--n", "2",
+            "--exhaustion", "0|0,1", "--pair", "[0,1]", image)
+        assert code == 2 and out == ""
+        assert err.startswith("halinkit: input error: bad permutation pair: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     ULTRAMETRIC = ("topology", "--family", "cycle", "--n", "8",
                    "--exhaustion", "0,1|0,1,2,3", "--triples")
 

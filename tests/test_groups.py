@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 import random
 
@@ -6,7 +9,7 @@ import pytest
 from halinkit.autgroup import automorphism_group
 from halinkit.graphs import (Graph, binary_tree, complete, complete_bipartite,
                              cycle, path, petersen)
-from halinkit.invariants import distinguishing_cost
+from halinkit.invariants import determining_number, distinguishing_cost
 from halinkit.perms import Permutation
 from halinkit.groups import GroupTooLargeError, PermGroup, _Chain
 
@@ -249,16 +252,18 @@ class TestRebase:
             m = len(points)
             assert chain.base[:m] == points
             assert chain.order() == want.order() == group.order()
-            assert chain.orbits[:m] == want.orbits[:m]
+            assert ([list(t) for t in chain.transversals[:m]]
+                    == [list(t) for t in want.transversals[:m]])
             assert all(chain.sift(g)[1].is_identity() for g in group.generators)
             assert chain.verified() is chain
             # level 0's generators are strong: read as such, they give the
             # same basic orbits; the level-m ones fix the points and
             # generate G_(points)
             read = _Chain.read(group.degree, chain.base, chain.strong_gens)
-            assert read.orbits == chain.orbits
+            assert ([list(t) for t in read.transversals]
+                    == [list(t) for t in chain.transversals])
             assert all(g(p) == p for g in chain.gens[m] for p in points)
-            pointwise = math.prod(map(len, want.orbits[m:]))
+            pointwise = math.prod(map(len, want.transversals[m:]))
             stab = group.point_stabilizer(points)
             assert stab.order() == pointwise
             assert PermGroup(group.degree, stab.generators).order() == pointwise
@@ -271,11 +276,11 @@ class TestRebase:
         group = automorphism_group(petersen())
         chain = group.chain()
         before = (list(chain.base), [list(g) for g in chain.gens],
-                  [dict(t) for t in chain.transversals], list(chain.orbits))
+                  [list(t.items()) for t in chain.transversals])
         chain.rebased([3, 7, 9])
         group.set_stabilizer([2, 5, 8, 9])
-        assert before == (chain.base, chain.gens, chain.transversals,
-                          chain.orbits)
+        assert before == (chain.base, chain.gens,
+                          [list(t.items()) for t in chain.transversals])
 
     def test_binary_tree_point_stabilizers(self):
         group = automorphism_group(binary_tree(7).graph)
@@ -429,3 +434,83 @@ class TestSetStabilizerPastBruteForce:
         monkeypatch.setattr(Permutation, "__mul__", counted)
         assert group.set_stabilizer(range(9)).order() == 362_880
         assert products < 10_000
+
+
+class TestChainLevels:
+    """Each chain level is one transversal dict, keyed in ascending point
+    order: the order ``elements()`` lists the group in."""
+
+    @staticmethod
+    def groups():
+        yield from (automorphism_group(g) for _, g in small_corpus())
+        yield from map(dihedral, range(3, 10))
+        yield symmetric(6)
+
+    @staticmethod
+    def assert_ascending(chain):
+        assert all(list(t) == sorted(t) for t in chain.transversals)
+
+    def test_transversal_keys_stay_ascending(self):
+        rng = random.Random(28)
+        for group in self.groups():
+            n, chain = group.degree, group.chain()
+            self.assert_ascending(chain)
+            self.assert_ascending(_Chain.read(n, chain.base, chain.strong_gens))
+            self.assert_ascending(PermGroup(n, group.generators).chain())
+            off_base = [p for p in range(n) if p not in chain.base]
+            for points in (off_base[:3], off_base[::-1], list(range(n))[::-1],
+                           rng.sample(range(n), rng.randint(1, n))):
+                self.assert_ascending(chain.rebased(points))
+                self.assert_ascending(group.point_stabilizer(points).chain())
+                self.assert_ascending(group.set_stabilizer(points).chain())
+
+    def test_backtrack_builds_no_group(self, monkeypatch):
+        group = automorphism_group(petersen())
+        chain = group.chain().rebased([0, 1, 2, 3])
+        want = list(chain.set_stabilizer_gens(4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PermGroup was built")
+
+        monkeypatch.setattr("halinkit.groups.PermGroup", refuse)
+        assert list(chain.set_stabilizer_gens(4)) == want
+
+    def test_each_query_checks_its_points_once(self, monkeypatch):
+        from halinkit import groups
+        group = automorphism_group(petersen())
+        calls = []
+        check = groups.point_set
+
+        def counted(degree, points):
+            calls.append(points)
+            return check(degree, points)
+
+        monkeypatch.setattr(groups, "point_set", counted)
+        assert len(group.orbits()) == 1 and calls == []
+        assert len(group.orbit(4)) == 10 and len(calls) == 1
+        group.set_stabilizer([0, 1, 2, 3])
+        group.set_stabilizer_is_trivial([0, 1, 2, 3])
+        group.point_stabilizer([0, 1])
+        assert len(calls) == 4
+
+    def test_stabilizer_digest(self):
+        """Set and point stabilizers of every subset of at most two points
+        and of the least base, for each corpus group, pinned by digest:
+        set-stabilizer orders and generators, triviality, and the point
+        stabilizers' generators and element listings."""
+        digest = hashlib.sha256()
+        for _, g in small_corpus():
+            group = automorphism_group(g)
+            subsets = [s for k in range(3)
+                       for s in itertools.combinations(range(g.n), k)]
+            for s in subsets + [determining_number(group)[1]]:
+                stab, point = group.set_stabilizer(s), group.point_stabilizer(s)
+                digest.update(json.dumps(
+                    [list(s), stab.order(),
+                     [list(p.images) for p in stab.generators],
+                     group.set_stabilizer_is_trivial(s),
+                     [list(p.images) for p in point.generators],
+                     [list(p.images) for p in point.elements()]],
+                    separators=(",", ":")).encode())
+        assert digest.hexdigest() == (
+            "78f6532b95c874652841bf508442d75378f11351bca271737039fb8d72c8f58e")
