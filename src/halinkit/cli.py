@@ -271,15 +271,17 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
         raise InputError("limit-sim needs --depth")
     family = _load_graph(args)
     assert isinstance(family, TruncatedFamily)
+    budget = _budget()  # charges the certificate's 2^(K+1) - 2 period
+    # entries; a K past the budget's bit length is over it without 2^K
+    if args.k > budget.bit_length() or 2 ** (args.k + 1) - 2 > budget:
+        raise ResourceLimitError(
+            f"pair certificate for --k {args.k} needs 2^{args.k + 1} - 2 "
+            f"period entries, budget {budget}")
     state = run_construction(family, args.k)
     results: dict = {"construction": state.to_json()}
     if state.exhausted:
         return family.graph, results, EXIT_EXHAUSTED
     pairs = 2 ** args.k * (2 ** args.k - 1) // 2
-    budget = _budget()
-    if pairs > budget:
-        raise ResourceLimitError(
-            f"pair certificate needs {pairs} pairs, budget {budget}")
     witnessed = verify_distinctness(state, args.k).witnessed()
     exhaustion = state.exhaustion()
     seq = list(itertools.accumulate(  # alpha_k = alpha_{k-1} * phi_k

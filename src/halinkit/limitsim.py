@@ -15,8 +15,9 @@ T <- T + phi_i^{-1}(T) for i = 0..k the preimages, where phi_i^{-1} =
 phi_i because every fixing automorphism here is a swap.  The 2^K words of
 length K then evaluate to 2^K pairwise distinct vertex maps, which the
 verification helpers certify mechanically: ``verify_distinctness`` returns
-a lazy ``PairCertificate`` whose ``witnessed()`` counts the distinct-image
-pairs level by level, without building the C(2^K, 2) pair objects.
+a ``PairCertificate`` of one period column per level, 2^(K+1) - 2 entries
+in all, whose ``witnessed()`` counts the distinct-image pairs level by
+level; neither the 2^K words nor the C(2^K, 2) pairs are stored.
 Minimal closures keep F_k small, maximizing the rounds a fixed truncation
 depth can host.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from functools import cached_property, reduce
+from functools import reduce
 from operator import eq
 
 from .graphs import TruncatedFamily
@@ -278,27 +279,15 @@ class PairWitness(namedtuple("PairWitness", "word_a word_b first_diff "
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {"word_a": list(self.word_a), "word_b": list(self.word_b),
-                "first_diff": self.first_diff, "vertex": self.vertex,
-                "image_a": self.image_a, "image_b": self.image_b}
 
+class PairCertificate:
+    """The pair witnesses of ``verify_distinctness``, kept implicit: each
+    level's mover (None if phi_k fixes F_{k+1}) and its images under words
+    0..2^h-1 when rounds h.. fix it, a period column.  Iteration yields
+    every witness, word pairs in index order; there is no indexing."""
 
-class PairCertificate(Sequence):
-    """The pair witnesses of ``verify_distinctness``, kept implicit: the
-    2^K words, each level's mover (None if phi_k fixes F_{k+1}) and its
-    images under words 0..2^h-1 when rounds h.. fix it, a period column.
-    Iteration yields the same witnesses in the same order as listing every
-    pair would; indexing lists them once."""
-
-    def __init__(self, words, movers, periods):
-        self.words, self.movers, self.periods = words, movers, periods
-
-    @cached_property
-    def images(self) -> list[list]:
-        """The 2^K x K table: row i holds word i's images of the movers."""
-        n = len(self.words)
-        return [list(r) for r in zip(*(p * (n // len(p)) for p in self.periods))]
+    def __init__(self, movers, periods):
+        self.movers, self.periods = movers, periods
 
     def __len__(self) -> int:
         K = len(self.movers)  # level k: 2^k prefixes x 2^(K-k-1) squared
@@ -306,21 +295,16 @@ class PairCertificate(Sequence):
                    if v is not None)
 
     def __iter__(self) -> Iterator[PairWitness]:
-        words, movers, images = self.words, self.movers, self.images
+        K, movers, periods = len(self.movers), self.movers, self.periods
+        words = [EpsilonWord.from_int(i, K).bits for i in range(1 << K)]
         for ia, wa in enumerate(words):
             for ib in range(ia + 1, len(words)):
                 diff = ia ^ ib  # word bit i is bit i of the index
                 k = (diff & -diff).bit_length() - 1
                 if movers[k] is not None:
+                    p = periods[k]
                     yield PairWitness(wa, words[ib], k, movers[k],
-                                      images[ia][k], images[ib][k])
-
-    @cached_property
-    def _listed(self) -> list[PairWitness]:
-        return list(self)
-
-    def __getitem__(self, i):
-        return self._listed[i]
+                                      p[ia % len(p)], p[ib % len(p)])
 
     def witnessed(self) -> int:
         """Pairs with distinct images: level k pairs the words with bit k =
@@ -344,9 +328,10 @@ def verify_distinctness(state: ConstructionState,
     For words first differing at bit k the witness lives in F_{k+1} and is
     moved by phi_k; its images under the two words must differ.  The
     rounds after k fix F_{k+1}, so a level's images repeat with period
-    2^(k+1) words, built by one interleave per round; the periods go into a
-    lazy ``PairCertificate`` of the C(2^K, 2) pairs, whose ``witnessed()``
-    count the caller should check covers every pair.
+    2^(k+1) words, built by one interleave per round.  These periods,
+    2^(K+1) - 2 entries, are the whole ``PairCertificate``: no word list is
+    built, and its ``witnessed()`` count, which the caller should check
+    covers all C(2^K, 2) pairs, reads only the periods.
     """
     K = state.rounds_completed if rounds is None else rounds
     if K < 1 or K > state.rounds_completed:
@@ -354,7 +339,6 @@ def verify_distinctness(state: ConstructionState,
     # Least vertex of F_{k+1} moved by phi_k, per k (x_k guarantees existence).
     movers = [min((v for v in state.fsets[k + 1] if state.phis[k](v) != v),
                   default=None) for k in range(K)]
-    words = [w[::-1] for w in itertools.product((0, 1), repeat=K)]  # LSB first
     periods = []
     for v in movers:  # rounds h.. fix v, so its images repeat with period 2^h
         h = 0 if v is None else 1 + max(j for j in range(K) if state.phis[j](v) != v)
@@ -363,7 +347,7 @@ def verify_distinctness(state: ConstructionState,
             period = list(itertools.chain.from_iterable(
                 zip(period, map(phi.images.__getitem__, period))))
         periods.append(period)
-    return PairCertificate(words, movers, periods)
+    return PairCertificate(movers, periods)
 
 
 def verify_finitary(state: ConstructionState, vertices: Sequence[int],

@@ -5,6 +5,7 @@ import os
 import platform
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -162,8 +163,8 @@ class TestLimitSim:
         assert results["inverse_consistency"] is True
 
     def test_comb_k12_at_the_budget_edge(self, capsys):
-        # C(4096, 2) = 8386560 pairs, under the default budget of 10^7;
-        # counted from the lazy certificate, no pair object is built
+        # C(4096, 2) = 8386560 pairs, counted from the certificate's
+        # 2^13 - 2 period entries; no word or pair object is built
         code, out, _ = run_cli(capsys, "limit-sim", "--family", "comb",
                                "--depth", "26", "--k", "12")
         assert code == 0
@@ -172,16 +173,64 @@ class TestLimitSim:
                                            "witnessed": 8386560}
         assert results["inverse_consistency"] is True
 
-    @pytest.mark.parametrize("budget, code", [("27", 4), ("28", 0)])
+    @pytest.mark.parametrize("budget, code", [("13", 4), ("14", 0)])
     def test_pair_budget(self, capsys, monkeypatch, budget, code):
-        # K = 3 has C(8, 2) = 28 pairs
+        # K = 3 has 2 + 4 + 8 = 14 period entries
         monkeypatch.setenv("HALINKIT_BUDGET", budget)
         got, out, err = run_cli(capsys, "limit-sim", "--family", "binary-tree",
                                 "--depth", "12", "--k", "3")
         assert got == code
         if code == 4:
             assert out == ""
-            assert "28 pairs, budget 27" in err
+            assert err == ("halinkit: resource limit: pair certificate for "
+                           "--k 3 needs 2^4 - 2 period entries, budget 13\n")
+
+    def test_comb_k13_past_the_old_pair_budget(self, capsys):
+        # C(8192, 2) pairs exceed 10^7, but 2^14 - 2 period entries do not
+        code, out, _ = run_cli(capsys, "limit-sim", "--family", "comb",
+                               "--depth", "28", "--k", "13")
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["distinctness"] == {"pairs": 33550336,
+                                           "witnessed": 33550336}
+
+    @pytest.mark.parametrize("depth, k", [("48", "23"), ("602", "300")])
+    def test_over_budget_is_refused_before_the_construction(
+            self, capsys, monkeypatch, depth, k):
+        def refused(*args):
+            raise AssertionError("run_construction called past the budget")
+        monkeypatch.setattr(cli, "run_construction", refused)
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "limit-sim", "--family", "comb",
+                                 "--depth", depth, "--k", k)
+        assert time.process_time() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"halinkit: resource limit: pair certificate for --k "
+                       f"{k} needs 2^{int(k) + 1} - 2 period entries, "
+                       "budget 10000000\n")
+
+    def test_huge_k_is_refused_without_computing_2_to_the_k(self):
+        src = os.path.dirname(os.path.dirname(halinkit.__file__))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(
+            [sys.executable, "-m", "halinkit.cli", "limit-sim", "--family",
+             "comb", "--depth", "3", "--k", "1000000000"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (after.ru_utime + after.ru_stime
+                - before.ru_utime - before.ru_stime) < 1
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_malformed_budget_exit2_even_when_exhausted(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("HALINKIT_BUDGET", "x")
+        code, out, err = run_cli(capsys, "limit-sim", "--family",
+                                 "binary-tree", "--depth", "2", "--k", "5")
+        assert (code, out) == (2, "")
+        assert "HALINKIT_BUDGET must be an integer" in err
 
     def test_k0_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "limit-sim", "--family", "binary-tree",
