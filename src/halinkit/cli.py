@@ -132,17 +132,18 @@ def _as_graph(obj: Graph | TruncatedFamily) -> Graph:
     return obj.graph if isinstance(obj, TruncatedFamily) else obj
 
 
-def _digest(g: Graph) -> str:
-    payload = f"{g.n};" + ",".join(f"{i}-{j}" for i, j in g.edge_list())
+def _digest(n: int, edges: list[tuple[int, int]]) -> str:
+    payload = f"{n};" + ",".join(f"{i}-{j}" for i, j in edges)
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _report(args: argparse.Namespace, g: Graph, results: dict,
-            started: float) -> dict:
+def _report(args: argparse.Namespace, g: Graph | TruncatedFamily,
+            results: dict, started: float) -> dict:
+    edges = g.edge_list()  # sorted; a family's from its closed forms
     return {
         "command": args.subcommand,
         "flags": _echo(args),
-        "input": {"digest": _digest(g), "n": g.n, "edges": len(g.edges)},
+        "input": {"digest": _digest(g.n, edges), "n": g.n, "edges": len(edges)},
         "results": results,
         "versions": {"halinkit": __version__,
                      "python": sys.version.split()[0]},
@@ -152,13 +153,10 @@ def _report(args: argparse.Namespace, g: Graph, results: dict,
 
 def _render_table(rows: list[list], header: list[str]) -> list[str]:
     table = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  " + "  ".join("-" * w for w in widths))
-    return lines
+    widths = [max(map(len, column)) for column in zip(*table)]
+    table.insert(1, ["-" * w for w in widths])  # the rule under the header
+    return ["  " + "  ".join(c.ljust(w) for c, w in zip(row, widths))
+            for row in table]
 
 
 def _render_pretty(report: dict) -> str:
@@ -262,7 +260,7 @@ def _cmd_greedy(args) -> tuple[Graph, dict, int]:
     return g, results, EXIT_OK
 
 
-def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
+def _cmd_limit_sim(args) -> tuple[TruncatedFamily, dict, int]:
     if args.family not in ("binary-tree", "comb"):
         raise InputError("limit-sim supports --family binary-tree or comb")
     if args.k < 1:
@@ -270,7 +268,6 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
     if args.depth is None:
         raise InputError("limit-sim needs --depth")
     family = _load_graph(args)
-    assert isinstance(family, TruncatedFamily)
     budget = _budget()  # charges the certificate's 2^(K+1) - 2 period
     # entries; a K past the budget's bit length is over it without 2^K
     if args.k > budget.bit_length() or 2 ** (args.k + 1) - 2 > budget:
@@ -280,7 +277,7 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
     state = run_construction(family, args.k)
     results: dict = {"construction": state.to_json()}
     if state.exhausted:
-        return family.graph, results, EXIT_EXHAUSTED
+        return family, results, EXIT_EXHAUSTED
     pairs = 2 ** args.k * (2 ** args.k - 1) // 2
     witnessed = verify_distinctness(state, args.k).witnessed()
     exhaustion = state.exhaustion()
@@ -292,7 +289,7 @@ def _cmd_limit_sim(args) -> tuple[Graph, dict, int]:
         "cauchy_table": cauchy,
         "inverse_consistency": state.inverse_consistency(),
     })
-    return family.graph, results, EXIT_OK
+    return family, results, EXIT_OK
 
 
 def _sample_elements(group: PermGroup, count: int, seed: int) -> list[Permutation]:
@@ -362,9 +359,8 @@ def _cmd_topology(args) -> tuple[Graph, dict, int]:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
+            if k != "func" and v is not None}
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:

@@ -2,7 +2,10 @@
 
 Vertices are the indices 0..n-1 and the index order is part of a graph's
 identity: it doubles as the fixed enumeration v_0, v_1, ... that the
-truncation machinery in :mod:`halinkit.limitsim` relies on.
+truncation machinery in :mod:`halinkit.limitsim` relies on.  A truncated
+family is closed forms of its kind and depth (vertex count, boundary,
+sorted edges); its ``graph`` is built and checked on first use, so the
+limit construction, which needs only the arithmetic, builds no graph.
 """
 
 from __future__ import annotations
@@ -131,26 +134,65 @@ class Graph:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
 
-class TruncatedFamily(Record):
-    """A finite depth-D prefix of an infinite graph.
+class _BuiltOnce(Record):
+    """Room for a value built on first use, outside the fields: a subclass
+    names those in its own ``__slots__``, which shadow this one."""
 
-    ``boundary`` is the set of vertices at the cut depth D; constructions
-    that would need vertices beyond the cut must stop there.  Vertex labels
-    record each vertex's depth as a decimal string.
-    """
+    __slots__ = ("_built",)
 
-    __slots__ = ("kind", "depth", "graph", "boundary")
+
+class TruncatedFamily(_BuiltOnce):
+    """The depth-D prefix of the infinite binary tree or comb, numbered
+    depth by depth from the root 0.  ``n``, the sorted ``edge_list()``
+    (n - 1 edges) and the ``boundary`` (the depth-D vertices, an index
+    suffix, where constructions must stop) are closed forms of D; the
+    depth-labelled ``graph`` is built and checked on first use."""
+
+    __slots__ = ("kind", "depth")
 
     def _check(self) -> None:
-        if not is_connected(self.graph):
-            raise ValueError("truncated family graph must be connected")
-        labels = self.graph.labels
-        if labels is None:
-            raise ValueError("truncated family graph must carry depth labels")
-        at_depth = frozenset(
-            compress(count(), map(str(self.depth).__eq__, labels)))
-        if at_depth != self.boundary:
-            raise ValueError("boundary must be exactly the depth-D vertices")
+        if self.kind not in ("binary-tree", "comb"):
+            raise ValueError(f"unknown family {self.kind!r}; expected one "
+                             "of ('binary-tree', 'comb')")
+        if operator.index(self.depth) < 1:
+            raise ValueError(f"{self.kind.replace('-', ' ')} needs depth >= 1")
+
+    @property
+    def boundary(self) -> range:
+        if self.kind == "binary-tree":
+            return range(2 ** self.depth - 1, 2 ** (self.depth + 1) - 1)
+        return range(3 * self.depth - 2, 3 * self.depth + 1)
+
+    @property
+    def n(self) -> int:
+        return self.boundary.stop
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        n = self.n
+        if self.kind == "binary-tree":
+            parents, arity = range(n // 2), 2
+        else:  # the spine vertices 0, 1, 4, ..., 3D - 5
+            parents, arity = chain((0,), range(1, n - 3, 3)), 3
+        parents = chain.from_iterable(map(repeat, parents, repeat(arity)))
+        return list(zip(parents, range(1, n)))
+
+    @property
+    def graph(self) -> Graph:
+        if not hasattr(self, "_built"):
+            widths = (chain((1,), repeat(3, self.depth)) if self.kind == "comb"
+                      else (2 ** d for d in range(self.depth + 1)))
+            labels = chain.from_iterable(
+                map(repeat, map(str, range(self.depth + 1)), widths))
+            g = Graph(self.n, self.edge_list(), labels)
+            if not is_connected(g):
+                raise ValueError("truncated family graph must be connected")
+            at_depth = frozenset(
+                compress(count(), map(str(self.depth).__eq__, g.labels)))
+            if at_depth != frozenset(self.boundary):
+                raise ValueError(
+                    "boundary must be exactly the depth-D vertices")
+            object.__setattr__(self, "_built", g)
+        return self._built
 
 
 def is_connected(g: Graph) -> bool:
@@ -315,46 +357,16 @@ def petersen() -> Graph:
 
 
 def binary_tree(depth: int) -> TruncatedFamily:
-    """Complete binary tree truncated at the given depth.
-
-    Breadth-first numbering from the root (vertex 0): children of v are
-    2v+1 and 2v+2.  Boundary = the 2^depth leaves.
-    """
-    if depth < 1:
-        raise ValueError("binary tree needs depth >= 1")
-    n = 2 ** (depth + 1) - 1
-    # child c >= 1 hangs off (c - 1) // 2; depth d holds 2^d vertices
-    parents = chain.from_iterable(map(repeat, range(n // 2), repeat(2)))
-    edges = zip(parents, range(1, n))
-    labels = chain.from_iterable(
-        repeat(str(d), 2 ** d) for d in range(depth + 1))
-    g = Graph(n, edges, labels)
-    boundary = frozenset(range(2 ** depth - 1, n))
-    return TruncatedFamily("binary-tree", depth, g, boundary)
+    """Complete binary tree truncated at the given depth; the children of
+    v are 2v+1 and 2v+2, and the boundary is the 2^depth leaves."""
+    return TruncatedFamily("binary-tree", depth)
 
 
 def comb(depth: int) -> TruncatedFamily:
-    """Spine path with a pair of pendant leaves at every interior spine vertex.
-
-    Numbering goes depth by depth: vertex 0 is the spine start; depth d >= 1
-    holds the spine vertex 3d-2 followed by the two leaves 3d-1, 3d attached
-    to the previous spine vertex.  Boundary = the three vertices at the cut
-    depth (the last spine vertex and the last leaf pair).
-    """
-    if depth < 1:
-        raise ValueError("comb needs depth >= 1")
-    n = 3 * depth + 1
-    edges = []
-    for d in range(1, depth + 1):
-        prev_spine = 3 * (d - 1) - 2 if d > 1 else 0
-        spine = 3 * d - 2
-        edges.append((prev_spine, spine))
-        edges.append((prev_spine, 3 * d - 1))
-        edges.append((prev_spine, 3 * d))
-    labels = ["0"] + [str(d) for d in range(1, depth + 1) for _ in range(3)]
-    g = Graph(n, edges, labels)
-    boundary = frozenset({3 * depth - 2, 3 * depth - 1, 3 * depth})
-    return TruncatedFamily("comb", depth, g, boundary)
+    """Spine with two pendant leaves at each spine vertex but the last:
+    depth d >= 1 holds the spine vertex 3d-2 and the leaves 3d-1, 3d, all
+    attached to the previous spine vertex; the boundary is the last three."""
+    return TruncatedFamily("comb", depth)
 
 
 FAMILY_NAMES = ("path", "cycle", "complete", "complete-bipartite",
@@ -377,5 +389,5 @@ def make_family(name: str, n: int | None = None,
     if name in ("binary-tree", "comb"):
         if depth is None:
             raise ValueError(f"family {name!r} needs --depth")
-        return {"binary-tree": binary_tree, "comb": comb}[name](depth)
+        return TruncatedFamily(name, depth)
     raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")

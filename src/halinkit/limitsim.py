@@ -19,15 +19,16 @@ a ``PairCertificate`` of one period column per level, 2^(K+1) - 2 entries
 in all, whose ``witnessed()`` counts the distinct-image pairs level by
 level; neither the 2^K words nor the C(2^K, 2) pairs are stored.
 Minimal closures keep F_k small, maximizing the rounds a fixed truncation
-depth can host.
+depth can host.  All of this reads the family's closed forms, never its
+``graph``, so ``limit-sim`` builds no graph.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import reduce
+from itertools import chain, islice
 from operator import eq
 
 from .graphs import TruncatedFamily
@@ -82,11 +83,7 @@ class ConstructionState(Record):
     @property
     def exhausted_prefix(self) -> int:
         """Count of leading enumeration vertices absorbed into the last set."""
-        last = self.fsets[-1]
-        m = 0
-        while m in last:
-            m += 1
-        return m
+        return min(set(range(len(self.fsets[-1]) + 1)) - self.fsets[-1])
 
     def inverse_consistency(self) -> bool:
         """phi_k * phi_k is the identity for every round: each phi_k is
@@ -95,7 +92,7 @@ class ConstructionState(Record):
 
     def exhaustion(self) -> Exhaustion:
         """The nested F_k as an exhaustion of the truncated graph's vertices."""
-        return Exhaustion(self.family.graph.n, self.fsets)
+        return Exhaustion(self.family.n, self.fsets)
 
     def to_json(self) -> dict:
         return {
@@ -156,9 +153,9 @@ def fixing_oracle(family: TruncatedFamily,
     swaps are involutions.  None means the truncation depth has no swap
     site left ("exhausted").
     """
-    n = family.graph.n
+    n = family.n
     fset = point_set(n, fixed)
-    if fset & family.boundary:
+    if max(fset, default=-1) in family.boundary:  # an index suffix
         raise ValueError("fixed set touches the truncation boundary")
     if family.kind == "binary-tree":
         marked: set[int] = set()  # ancestors-or-self of the members
@@ -169,15 +166,13 @@ def fixing_oracle(family: TruncatedFamily,
         u = next((u for u in range(2 ** family.depth - 1)  # interior
                   if u not in marked), None)
         return None if u is None else _tree_swap(u, n)
-    if family.kind == "comb":
-        for i in range(family.depth):
-            leaves = (3 * i + 2, 3 * i + 3)
-            if fset.isdisjoint(leaves):
-                images = list(range(n))
-                images[leaves[0]], images[leaves[1]] = leaves[1], leaves[0]
-                return Permutation(images)
-        return None
-    raise ValueError(f"no fixing oracle for family {family.kind!r}")
+    for i in range(family.depth):  # the comb
+        leaves = (3 * i + 2, 3 * i + 3)
+        if fset.isdisjoint(leaves):
+            images = list(range(n))
+            images[leaves[0]], images[leaves[1]] = leaves[1], leaves[0]
+            return Permutation(images)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +190,13 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    n = family.graph.n
+    n = family.n
     fsets: list[frozenset[int]] = [frozenset({0})]
     phis: list[Permutation] = []
     xs: list[int] = []
     for k in range(rounds):
         current = fsets[-1]
-        if current & family.boundary:
+        if max(current) in family.boundary:
             break
         phi = fixing_oracle(family, current)
         if phi is None:
@@ -264,7 +259,7 @@ def alpha_perm(state: ConstructionState,
         raise ValueError("not enough rounds for the word")
     factors = [state.phis[i] for i in range(k + 1) if bits[i]]
     return reduce(Permutation.__mul__, factors,
-                  Permutation.identity(state.family.graph.n))
+                  Permutation.identity(state.family.n))
 
 
 def alpha_inverse_perm(state: ConstructionState,
@@ -315,7 +310,8 @@ class PairCertificate:
         for k, (v, period) in enumerate(zip(self.movers, self.periods)):
             if v is not None:
                 h, half = len(period).bit_length() - 1, 1 << k
-                twice = sum(sum(map(eq, period, period[r:] + period[:r]))
+                twice = sum(sum(map(eq, period, chain(islice(period, r, None),
+                                                      islice(period, r))))
                             for r in range(half, len(period), 2 * half))
                 total -= (twice // 2) << 2 * (K - h)
         return total
@@ -344,7 +340,7 @@ def verify_distinctness(state: ConstructionState,
         h = 0 if v is None else 1 + max(j for j in range(K) if state.phis[j](v) != v)
         period = [v]  # for j = h..0: v's images under bits j..h-1 of the words
         for phi in reversed(state.phis[:h]):
-            period = list(itertools.chain.from_iterable(
+            period = list(chain.from_iterable(
                 zip(period, map(phi.images.__getitem__, period))))
         periods.append(period)
     return PairCertificate(movers, periods)
@@ -359,7 +355,7 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
     completed rounds and the word length.  Vertices not ints in 0..n-1, or a
     word that is not an ``EpsilonWord``'s bits, raise ValueError.
     """
-    point_set(state.family.graph.n, vertices)
+    point_set(state.family.n, vertices)
     bits = EpsilonWord(tuple(word)).bits
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)

@@ -70,9 +70,7 @@ def dist(e: Exhaustion, a: Permutation, b: Permutation) -> Fraction:
     """2^(-confluent), exactly; zero when the permutations agree on all sets."""
     from fractions import Fraction  # only distances need it, not the CLI's import
     c = confluent(e, a, b)
-    if c is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** c)
+    return Fraction(0) if c is None else Fraction(1, 2 ** c)
 
 
 def dist_star(e: Exhaustion, a: Permutation, b: Permutation) -> Fraction:
@@ -112,8 +110,6 @@ def check_ultrametric(
 def check_cauchy(e: Exhaustion,
                  sequence: Sequence[Permutation]) -> list[Fraction]:
     """Max tail distance per index: entry k = max over l > k of d(s_k, s_l)."""
-    out = []
-    for k in range(len(sequence) - 1):
-        out.append(max(dist(e, sequence[k], sequence[l])
-                       for l in range(k + 1, len(sequence))))
-    return out
+    return [max(dist(e, sequence[k], sequence[l])
+                for l in range(k + 1, len(sequence)))
+            for k in range(len(sequence) - 1)]

@@ -1,16 +1,20 @@
+import argparse
+import copy
+import hashlib
 import json
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halinkit.graphs import (GRAPH6_HEADER, Graph, Graph6Error, binary_tree,
-                             comb, complete, complete_bipartite, cycle,
-                             encode_graph6, from_json, is_connected,
-                             make_family, parse_graph6, path, petersen,
-                             to_json)
+from halinkit.graphs import (GRAPH6_HEADER, Graph, Graph6Error,
+                             TruncatedFamily, binary_tree, comb, complete,
+                             complete_bipartite, cycle, encode_graph6,
+                             from_json, is_connected, make_family,
+                             parse_graph6, path, petersen, to_json)
 
 from corpus import small_corpus
 from oracles import is_connected_by_bfs
@@ -150,14 +154,65 @@ class TestLazyAdjacency:
             assert g.edge_list() == sorted(g.edges)
         assert inputs[3] == petersen()
 
-    def test_limit_sim_path_builds_no_adjacency(self):
-        from halinkit.cli import _digest
-        from halinkit.limitsim import run_construction
-        family = make_family("binary-tree", depth=10)
-        state = run_construction(family, 6)
-        assert state.rounds_completed == 6
-        _digest(family.graph)
-        assert family.graph._adj is None
+
+class TestClosedFormFamilies:
+    """A truncated family's vertex count, boundary, edges and report input
+    are closed forms of its depth; they must equal what the graph it builds
+    on first use says, and limit-sim must need no graph at all."""
+
+    @pytest.mark.parametrize("kind, depth",
+                             [("binary-tree", d) for d in range(1, 15)]
+                             + [("comb", d) for d in range(1, 61)])
+    def test_closed_forms_match_the_built_graph(self, kind, depth):
+        from halinkit.cli import _report
+        family = make_family(kind, depth=depth)
+        g = family.graph  # built and checked on this first use
+        assert family.n == g.n
+        assert family.edge_list() == g.edge_list() == sorted(g.edges)
+        assert len(family.edge_list()) == len(g.edges) == g.n - 1
+        # the depth labels and the boundary, against breadth-first depths
+        depth_of = nx.single_source_shortest_path_length(
+            nx.Graph(list(g.edges)), 0)
+        assert is_connected(g) and len(depth_of) == g.n
+        assert g.labels == tuple(str(depth_of[v]) for v in range(g.n))
+        assert frozenset(family.boundary) == {
+            v for v, d in depth_of.items() if d == depth}
+        payload = f"{g.n};" + ",".join(f"{i}-{j}" for i, j in sorted(g.edges))
+        expected = {"digest": "sha256:" + hashlib.sha256(
+            payload.encode()).hexdigest(), "n": g.n, "edges": len(g.edges)}
+        args = argparse.Namespace(subcommand="limit-sim")
+        for source in (family, g):
+            assert _report(args, source, {}, 0.0)["input"] == expected
+
+    def test_graph_is_built_once_and_checked(self, monkeypatch):
+        family = binary_tree(3)
+        assert family.graph is family.graph
+        assert not hasattr(copy.copy(family), "_built")  # not a field
+        assert copy.copy(family) == family
+        monkeypatch.setattr(TruncatedFamily, "edge_list",
+                            lambda self: [(0, 1)])
+        with pytest.raises(ValueError, match="connected"):
+            binary_tree(3).graph
+        monkeypatch.undo()
+        monkeypatch.setattr(TruncatedFamily, "boundary",
+                            property(lambda self: range(14, 15)))
+        with pytest.raises(ValueError, match="depth-D vertices"):
+            binary_tree(3).graph
+
+    def test_limit_sim_builds_no_graph(self, capsys, monkeypatch):
+        from halinkit import cli
+        argv = ["limit-sim", "--family", "binary-tree", "--depth", "12",
+                "--k", "6"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("limit-sim built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert cli.main(argv) == 0
+        wall = re.compile(r'"wall_time_ms":[0-9.]+')
+        assert wall.sub("", capsys.readouterr().out) == wall.sub("", expected)
 
 
 class TestConnectivity:
@@ -395,7 +450,7 @@ class TestFamilies:
         fam = binary_tree(2)
         assert fam.graph.n == 7
         assert len(fam.graph.edges) == 6
-        assert fam.boundary == frozenset({3, 4, 5, 6})
+        assert fam.boundary == range(3, 7)
 
     @pytest.mark.parametrize("depth", [1, 2, 5])
     def test_binary_tree_size_formula(self, depth):
@@ -410,7 +465,7 @@ class TestFamilies:
         # spine 0-1-4, leaves 2,3 on 0 and 5,6 on 1
         assert g.neighbors(0) == frozenset({1, 2, 3})
         assert g.neighbors(1) == frozenset({0, 4, 5, 6})
-        assert fam.boundary == frozenset({4, 5, 6})
+        assert fam.boundary == range(4, 7)
 
     def test_all_families_connected(self):
         graphs = [path(5), cycle(6), complete(4), complete_bipartite(2, 3),

@@ -409,6 +409,20 @@ class TestPairCertificate:
         assert sum(map(len, cert.periods)) == 2 ** 17 - 2
         assert peak < 3_000_000
 
+    def test_witnessed_builds_no_rotated_periods(self):
+        # each rotation is compared as a view: a copy of the level-15
+        # period alone would take about 1 MB
+        st = run_construction(comb(depth_budget("comb", 16)), 16)
+        cert = verify_distinctness(st, 16)
+        tracemalloc.start()
+        try:
+            witnessed = cert.witnessed()
+            extra = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witnessed == len(cert)
+        assert extra < 100_000
+
     def test_items_are_pair_witnesses(self, tree12_k3):
         cert = verify_distinctness(tree12_k3, 3)
         assert all(type(w) is PairWitness for w in cert)
