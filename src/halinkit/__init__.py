@@ -9,7 +9,7 @@ imported on first use of it or of a name it exports (PEP 562).
 
 __version__ = "0.1.0"
 
-_EXPORTS = {  # submodule: the names it exports here, in __all__ order
+_EXPORTS = {  # each submodule but cli: the names it exports, in __all__ order
     "autgroup": "ColoredPartition automorphism_group refine",
     "graphs": "Graph Graph6Error TruncatedFamily binary_tree comb complete "
               "complete_bipartite cycle encode_graph6 from_json is_connected "
@@ -27,7 +27,6 @@ _EXPORTS = {  # submodule: the names it exports here, in __all__ order
                 "dist_star",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "record"}  # every submodule but cli
 
 __all__ = ["__version__", *_HOME]
 
@@ -36,7 +35,7 @@ def __getattr__(name: str):
     from importlib import import_module
     if name in _HOME:
         value = getattr(import_module(f".{_HOME[name]}", __name__), name)
-    elif name in _SUBMODULES:  # importing binds it here as well
+    elif name in _EXPORTS:  # importing binds it here as well
         value = import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -45,4 +44,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__, *_EXPORTS})

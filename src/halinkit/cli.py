@@ -43,8 +43,8 @@ determining_number, distinguishing_cost, motion, greedy_distinguishing_chain = (
         "greedy_distinguishing_chain"))
 run_construction, verify_distinctness, alpha_perm = (_deferred("limitsim", name)
     for name in ("run_construction", "verify_distinctness", "alpha_perm"))
-check_ultrametric, check_cauchy, dist = (_deferred("topology", name)
-    for name in ("check_ultrametric", "check_cauchy", "dist"))
+check_ultrametric, check_cauchy = (_deferred("topology", name)
+    for name in ("check_ultrametric", "check_cauchy"))
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -318,7 +318,7 @@ def _cmd_topology(args) -> tuple[Graph, dict, int]:
         raise InputError("topology needs --exhaustion \"i,j|i,j,k|...\"")
     if args.triples < 0:
         raise InputError(f"--triples must be >= 0, got {args.triples}")
-    from .topology import Exhaustion, confluent, dist_star
+    from .topology import Exhaustion, confluent, dist, dist_star
     try:
         exhaustion = Exhaustion(g.n, map(_parse_vertex_list,
                                          args.exhaustion.split("|")))

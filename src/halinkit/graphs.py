@@ -4,19 +4,20 @@ Vertices are the indices 0..n-1 and the index order is part of a graph's
 identity: it doubles as the fixed enumeration v_0, v_1, ... that the
 truncation machinery in :mod:`halinkit.limitsim` relies on.  A truncated
 family is closed forms of its kind and depth (vertex count, boundary,
-sorted edges); its ``graph`` is built and checked on first use, so the
-limit construction, which needs only the arithmetic, builds no graph.
+sorted edges); its ``graph`` is built and checked on each read, never
+kept, so the limit construction, which needs only the arithmetic, builds
+no graph.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress, count, repeat
 
 from .perms import is_permutation
-from .record import Record
 
 GRAPH6_HEADER = ">>graph6<<"
 # the graph6 forms of the vertex count n, shortest first:
@@ -134,28 +135,25 @@ class Graph:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
 
-class _BuiltOnce(Record):
-    """Room for a value built on first use, outside the fields: a subclass
-    names those in its own ``__slots__``, which shadow this one."""
-
-    __slots__ = ("_built",)
-
-
-class TruncatedFamily(_BuiltOnce):
+class TruncatedFamily(namedtuple("TruncatedFamily", "kind depth")):
     """The depth-D prefix of the infinite binary tree or comb, numbered
     depth by depth from the root 0.  ``n``, the sorted ``edge_list()``
     (n - 1 edges) and the ``boundary`` (the depth-D vertices, an index
     suffix, where constructions must stop) are closed forms of D; the
-    depth-labelled ``graph`` is built and checked on first use."""
+    depth-labelled ``graph`` is built and checked on each read."""
 
-    __slots__ = ("kind", "depth")
+    __slots__ = ()
 
-    def _check(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("binary-tree", "comb"):
             raise ValueError(f"unknown family {self.kind!r}; expected one "
                              "of ('binary-tree', 'comb')")
         if operator.index(self.depth) < 1:
             raise ValueError(f"{self.kind.replace('-', ' ')} needs depth >= 1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace
 
     @property
     def boundary(self) -> range:
@@ -178,21 +176,18 @@ class TruncatedFamily(_BuiltOnce):
 
     @property
     def graph(self) -> Graph:
-        if not hasattr(self, "_built"):
-            widths = (chain((1,), repeat(3, self.depth)) if self.kind == "comb"
-                      else (2 ** d for d in range(self.depth + 1)))
-            labels = chain.from_iterable(
-                map(repeat, map(str, range(self.depth + 1)), widths))
-            g = Graph(self.n, self.edge_list(), labels)
-            if not is_connected(g):
-                raise ValueError("truncated family graph must be connected")
-            at_depth = frozenset(
-                compress(count(), map(str(self.depth).__eq__, g.labels)))
-            if at_depth != frozenset(self.boundary):
-                raise ValueError(
-                    "boundary must be exactly the depth-D vertices")
-            object.__setattr__(self, "_built", g)
-        return self._built
+        widths = (chain((1,), repeat(3, self.depth)) if self.kind == "comb"
+                  else (2 ** d for d in range(self.depth + 1)))
+        labels = chain.from_iterable(
+            map(repeat, map(str, range(self.depth + 1)), widths))
+        g = Graph(self.n, self.edge_list(), labels)
+        if not is_connected(g):
+            raise ValueError("truncated family graph must be connected")
+        at_depth = frozenset(
+            compress(count(), map(str(self.depth).__eq__, g.labels)))
+        if at_depth != frozenset(self.boundary):
+            raise ValueError("boundary must be exactly the depth-D vertices")
+        return g
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,14 +10,14 @@ the least vertex index, so results are reproducible.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 
 from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
 from .perms import Permutation, point_set
-from .record import Record
 
 
-class Bounds(Record):
+class Bounds(namedtuple("Bounds", "n popcount cost_bound chain_bound")):
     """The two size bounds attached to a base of size n.
 
     ``cost_bound`` caps the final distinguishing set produced by the greedy
@@ -26,7 +26,7 @@ class Bounds(Record):
     the binary expansion of n.
     """
 
-    __slots__ = ("n", "popcount", "cost_bound", "chain_bound")
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"n": self.n, "popcount": self.popcount,
@@ -44,8 +44,9 @@ def bounds(n: int) -> Bounds:
     return Bounds(n, b, cost, chain)
 
 
-class StabilizerChain(Record):
-    """Record of a greedy run Y_0 = base, Y_i = Y_{i-1} + one vertex.
+class StabilizerChain(namedtuple("StabilizerChain",
+                                 "base added orders stalled")):
+    """The record of a greedy run Y_0 = base, Y_i = Y_{i-1} + one vertex.
 
     ``orders`` holds |setwise stabilizer of Y_i| for i = 0..k, strictly
     decreasing, and ``added`` holds k distinct vertices off the base (else
@@ -53,14 +54,18 @@ class StabilizerChain(Record):
     ``stalled`` marks runs where no vertex could cut the stabilizer further.
     """
 
-    __slots__ = ("base", "added", "orders", "stalled")
+    __slots__ = ()
 
-    def _check(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         orders, added = self.orders, self.added
         if (len(orders) != len(added) + 1 or len({*added} - {*self.base}) < len(added)
                 or any(a <= b for a, b in zip(orders, orders[1:]))):
             raise ValueError("greedy record: orders must strictly decrease, one per "
                              "Y_i, and added vertices be distinct and off the base")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace
 
     @property
     def final_set(self) -> tuple[int, ...]:

@@ -33,34 +33,36 @@ from operator import eq
 
 from .graphs import TruncatedFamily
 from .perms import Permutation, point_set
-from .record import Record
 from .topology import Exhaustion
 
 
-class EpsilonWord(Record):
-    """A finite 0/1 sign word; prefix stand-in for an infinite sign sequence."""
+class EpsilonWord(tuple):
+    """A finite 0/1 sign word, the tuple of its ``bits``; prefix stand-in
+    for an infinite sign sequence."""
 
-    __slots__ = ("bits",)
+    __slots__ = ()
 
-    def _check(self) -> None:
-        if len(self.bits) < 1:
+    def __new__(cls, bits):
+        self = super().__new__(cls, bits)
+        if len(self) < 1:
             raise ValueError("sign word must have length >= 1")
-        if not all(b in (0, 1) for b in self.bits):
+        if not all(b in (0, 1) for b in self):
             raise ValueError("sign word bits must be 0 or 1")
+        return self
+
+    bits = property(tuple)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "EpsilonWord":
         """Bits of value, least significant bit first."""
-        return cls(tuple((value >> i) & 1 for i in range(length)))
+        return cls((value >> i) & 1 for i in range(length))
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
+    def __repr__(self) -> str:
+        return f"EpsilonWord(bits={tuple(self)!r})"
 
 
-class ConstructionState(Record):
+class ConstructionState(namedtuple("ConstructionState",
+                                   "family fsets phis xs requested")):
     """Completed rounds of the construction plus the final closure set.
 
     ``fsets`` holds F_0 .. F_R for R completed rounds (one more set than
@@ -70,7 +72,7 @@ class ConstructionState(Record):
     exhausted.
     """
 
-    __slots__ = ("family", "fsets", "phis", "xs", "requested")
+    __slots__ = ()
 
     @property
     def rounds_completed(self) -> int:
@@ -184,13 +186,12 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
 
     Closures are chosen minimal (exactly the mandated union), computed as
     two iterated unions of O(k) image steps, not one evaluation per sign
-    word.  If the truncation cannot host another round (no swap site, the
-    closure touches the boundary, or the enumeration outgrows the graph) a
-    partial state is returned; callers detect this via ``state.exhausted``.
+    word.  If the truncation cannot host another round (no swap site, or
+    the closure touches the boundary) a partial state is returned; callers
+    detect this via ``state.exhausted``.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    n = family.n
     fsets: list[frozenset[int]] = [frozenset({0})]
     phis: list[Permutation] = []
     xs: list[int] = []
@@ -204,9 +205,6 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
         x_k = next((v for v, w in enumerate(phi.images) if v != w), None)
         if x_k is None:
             raise ValueError(f"round {k}'s automorphism fixes every point")
-        v_next = k + 1
-        if v_next >= n:
-            break
         phis.append(phi)
         xs.append(x_k)
         images, preimages = set(current), set(current)
@@ -214,7 +212,7 @@ def run_construction(family: TruncatedFamily, rounds: int) -> ConstructionState:
             images |= {phis[i](v) for v in images}
         for i in range(k + 1):
             preimages |= {phis[i](v) for v in preimages}  # phi_i^{-1}
-        fsets.append(frozenset(images | preimages | {x_k, v_next}))
+        fsets.append(frozenset(images | preimages | {x_k, k + 1}))
     return ConstructionState(family, tuple(fsets), tuple(phis), tuple(xs),
                              rounds)
 

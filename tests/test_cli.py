@@ -280,6 +280,25 @@ class TestTopology:
         assert q["conf"] == "equal-on-all"
         assert q["d"] == "0" and q["d_star"] == "0"
 
+    def test_one_pair_query_makes_three_distance_calls(self, capsys,
+                                                       monkeypatch):
+        # d once and d* twice, counted once each by a tracer that wraps
+        # ``dist`` wherever the CLI could look it up, with one counter
+        from halinkit import topology
+        calls = []
+        for module in (topology, cli):
+            if hasattr(module, "dist"):
+                def counted(*args, dist=module.dist):
+                    calls.append(args)
+                    return dist(*args)
+                monkeypatch.setattr(module, "dist", counted)
+        code, out, _ = run_cli(
+            capsys, "topology", "--family", "cycle", "--n", "4",
+            "--exhaustion", "0|0,1|0,1,2,3",
+            "--pair", "[1,2,3,0]", "[1,2,0,3]")
+        assert code == 0 and payload(out)["results"]["queries"][0]["d"] != "0"
+        assert len(calls) == 3
+
     def test_triple_sweep_no_violations(self, capsys):
         code, out, _ = run_cli(
             capsys, "topology", "--family", "cycle", "--n", "8",
@@ -662,14 +681,13 @@ class TestImportPath:
                                                   "violations": []}
 
     EAGER = ["halinkit", "halinkit.autgroup", "halinkit.cli",
-             "halinkit.graphs", "halinkit.groups", "halinkit.perms",
-             "halinkit.record"]
+             "halinkit.graphs", "halinkit.groups", "halinkit.perms"]
     # names that tracing tools wrap in the cli namespace as soon as it is
     # imported; a missing one would drop its metrics without an error
     CLI_NAMES = ("main", "parse_graph6", "from_json", "make_family",
                  "automorphism_group", "run_construction",
                  "verify_distinctness", "alpha_perm", "check_ultrametric",
-                 "check_cauchy", "dist", "determining_number",
+                 "check_cauchy", "determining_number",
                  "distinguishing_cost", "motion",
                  "greedy_distinguishing_chain")
     COMMAND_PROBE = (
@@ -735,7 +753,7 @@ class TestImportPath:
         assert result["bare"] == ["halinkit"]
         assert result["after"] == ["halinkit", "halinkit.graphs",
                                    "halinkit.limitsim", "halinkit.perms",
-                                   "halinkit.record", "halinkit.topology"]
+                                   "halinkit.topology"]
         assert result["same"] == [True, True]
 
     def test_report_python_is_platform_python_version(self, capsys):

@@ -184,11 +184,11 @@ class TestClosedFormFamilies:
         for source in (family, g):
             assert _report(args, source, {}, 0.0)["input"] == expected
 
-    def test_graph_is_built_once_and_checked(self, monkeypatch):
+    def test_graph_is_built_and_checked_on_each_read(self, monkeypatch):
         family = binary_tree(3)
-        assert family.graph is family.graph
-        assert not hasattr(copy.copy(family), "_built")  # not a field
-        assert copy.copy(family) == family
+        first, second = family.graph, family.graph
+        assert first == second and first.labels == second.labels
+        assert copy.copy(family) == family == ("binary-tree", 3)
         monkeypatch.setattr(TruncatedFamily, "edge_list",
                             lambda self: [(0, 1)])
         with pytest.raises(ValueError, match="connected"):

@@ -317,7 +317,7 @@ class TestGreedyChain:
             group = aut(g)
             chain = greedy_distinguishing_chain(group,
                                                 determining_number(group)[1])
-            assert StabilizerChain(*chain._values()) == chain
+            assert StabilizerChain(*chain) == chain
 
     def test_orders_strictly_decrease(self):
         for g in [cycle(6), cycle(8), petersen()]:

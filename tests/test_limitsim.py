@@ -197,11 +197,15 @@ class TestDepthBudget:
     def test_binary_tree_budget_suffices(self, k):
         st = run_construction(binary_tree(depth_budget("binary-tree", k)), k)
         assert st.rounds_completed == k
+        # F_k holds the enumeration prefix 0..k, so the boundary, an index
+        # suffix, ends a round before the enumeration outgrows the graph
+        assert all(set(range(j + 1)) <= f for j, f in enumerate(st.fsets))
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_comb_budget_suffices(self, k):
         st = run_construction(comb(depth_budget("comb", k)), k)
         assert st.rounds_completed == k
+        assert all(set(range(j + 1)) <= f for j, f in enumerate(st.fsets))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

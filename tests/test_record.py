@@ -1,8 +1,9 @@
-"""The frozen value records (``halinkit.record.Record``) behave as the
-frozen dataclasses they replaced: the same repr strings, value equality
-and hashing, positional or keyword fields, TypeError on wrong fields,
-AttributeError on assignment, and copies and pickles that rebuild the
-value.  PairWitness stays a named tuple."""
+"""The value records are named tuples, and ``EpsilonWord`` is the tuple of
+its bits: they keep the repr strings of the frozen dataclasses they once
+were, take positional or keyword fields, raise TypeError on wrong fields
+and AttributeError on assignment, and copies and pickles rebuild them
+through the constructor, so through its check.  Each record equals and
+hashes as the plain tuple of its fields."""
 
 import copy
 import pickle
@@ -14,7 +15,6 @@ from halinkit import (Bounds, ConstructionState, EpsilonWord, StabilizerChain,
                       greedy_distinguishing_chain, make_family,
                       run_construction, verify_distinctness)
 from halinkit.limitsim import PairWitness
-from halinkit.record import Record
 
 COMB2 = "TruncatedFamily(kind='comb', depth=2)"
 
@@ -44,8 +44,9 @@ def record(request):
     return make, expected_repr
 
 
-def fields(r):
-    return tuple(getattr(r, name) for name in type(r).__slots__)
+def fields(r) -> dict:
+    """The record's fields by name; a sign word's one field is its bits."""
+    return {"bits": r.bits} if isinstance(r, EpsilonWord) else r._asdict()
 
 
 def test_repr_is_the_dataclass_repr(record):
@@ -56,11 +57,13 @@ def test_repr_is_the_dataclass_repr(record):
 def test_equality_and_hash_by_fields(record):
     make, _ = record
     a, b = make(), make()
-    assert isinstance(a, Record) and a is not b
+    assert isinstance(a, tuple) and a is not b
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(fields(a))  # as a frozen dataclass
     assert len({a, b}) == 1
-    assert a != fields(a)  # another type with the same values
+    assert a == tuple(a) and hash(a) == hash(tuple(a))  # a plain tuple
+    if not isinstance(a, EpsilonWord):
+        assert tuple(a) == tuple(fields(a).values())
+        assert a[0] == getattr(a, a._fields[0])
 
 
 def test_unequal_when_one_field_differs():
@@ -69,11 +72,21 @@ def test_unequal_when_one_field_differs():
     assert EpsilonWord((0, 1)) != EpsilonWord((1, 0))
 
 
+def test_epsilon_word_is_the_tuple_of_its_bits():
+    word = EpsilonWord([1, 0, 1])
+    assert len(word) == 3 and word[0] == 1 and word[-2] == 0
+    assert tuple(word) == word.bits == (1, 0, 1)
+    assert type(word.bits) is tuple
+    assert hash(word) == hash((1, 0, 1))
+    assert EpsilonWord(tuple(word)) == word  # as alpha reads its words
+    assert EpsilonWord.from_int(5, 4) == (1, 0, 1, 0)
+
+
 def test_keyword_and_mixed_construction(record):
     make, _ = record
     r = make()
-    cls, values = type(r), fields(r)
-    by_name = dict(zip(cls.__slots__, values))
+    cls, by_name = type(r), fields(r)
+    values = list(by_name.values())
     assert cls(**by_name) == r
     assert cls(*values[:1], **dict(list(by_name.items())[1:])) == r
 
@@ -93,7 +106,7 @@ def test_wrong_fields_raise_type_error(args, kwargs):
 def test_assignment_raises_attribute_error(record):
     make, _ = record
     r = make()
-    name = type(r).__slots__[0]
+    name = next(iter(fields(r)))
     before = getattr(r, name)
     with pytest.raises(AttributeError):
         setattr(r, name, None)
@@ -101,7 +114,7 @@ def test_assignment_raises_attribute_error(record):
         delattr(r, name)
     with pytest.raises(AttributeError):
         r.extra = 1
-    assert getattr(r, name) is before
+    assert getattr(r, name) == before
 
 
 @pytest.mark.parametrize("clone", [
@@ -124,16 +137,37 @@ def test_check_hook_validates_every_construction():
         TruncatedFamily("binary-tree", 0)
     with pytest.raises(ValueError, match="unknown family 'cube'"):
         TruncatedFamily("cube", 2)
+    with pytest.raises(ValueError, match="greedy record"):
+        StabilizerChain((0,), (1,), (2, 2), False)
+    # _make, and so _replace, goes through the constructor
     fam = make_family("binary-tree", depth=2)
-    # copies and pickles rebuild the record through the constructor, so
-    # they pass the same check
-    assert fam.__reduce__() == (TruncatedFamily, fields(fam))
+    assert fam._replace(depth=3) == TruncatedFamily("binary-tree", 3)
+    with pytest.raises(ValueError, match="binary tree needs depth >= 1"):
+        fam._replace(depth=0)
+    with pytest.raises(ValueError, match="unknown family 'cube'"):
+        TruncatedFamily._make(("cube", 2))
+    chain = RECORDS["StabilizerChain"][0]()
+    with pytest.raises(ValueError, match="greedy record"):
+        chain._replace(orders=(1, 2))
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (TruncatedFamily, ("binary-tree", 0)),
+    (StabilizerChain, ((0,), (1,), (2, 2), False)),
+    (EpsilonWord, (0, 2)),
+], ids=["TruncatedFamily", "StabilizerChain", "EpsilonWord"])
+def test_unpickling_runs_the_check(cls, bad):
+    # a record made past the constructor does not survive a round trip
+    unchecked = tuple.__new__(cls, bad)
+    for clone in (copy.copy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(ValueError):
+            clone(unchecked)
 
 
 def test_records_have_no_instance_dict():
     for make, _ in RECORDS.values():
         assert not hasattr(make(), "__dict__")
-    assert all(cls.__slots__ for cls in (
+    assert all(cls.__slots__ == () for cls in (
         TruncatedFamily, Bounds, StabilizerChain, EpsilonWord,
         ConstructionState))
 
