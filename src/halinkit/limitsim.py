@@ -235,7 +235,7 @@ def alpha(state: ConstructionState, word: EpsilonWord | Sequence[int],
     argument is read as an ``EpsilonWord``: bits 0 or 1, length >= 1, or
     ValueError.
     """
-    bits = EpsilonWord(tuple(word)).bits
+    bits = EpsilonWord(word)
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError(
@@ -251,7 +251,7 @@ def alpha_perm(state: ConstructionState,
                word: EpsilonWord | Sequence[int]) -> Permutation:
     """Materialize alpha_k^eps as a full permutation of the truncated graph
     (the word read as in ``alpha``)."""
-    bits = EpsilonWord(tuple(word)).bits
+    bits = EpsilonWord(word)
     k = len(bits) - 1
     if k >= state.rounds_completed:
         raise ValueError("not enough rounds for the word")
@@ -354,7 +354,7 @@ def verify_finitary(state: ConstructionState, vertices: Sequence[int],
     word that is not an ``EpsilonWord``'s bits, raise ValueError.
     """
     point_set(state.family.n, vertices)
-    bits = EpsilonWord(tuple(word)).bits
+    bits = EpsilonWord(word)
     R = min(state.rounds_completed, len(bits))
     N = max(vertices, default=-1)
     if N + 1 >= R:

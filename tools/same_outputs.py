@@ -3,14 +3,17 @@
 Run it from the root of a checkout, with the root of another one:
 
     git worktree add ../parent HEAD~1
-    python3 tools/same_outputs.py ../parent [--seeds 1 7919]
+    python3 tools/same_outputs.py ../parent
 
 It builds every workload's request list (perfbench/workloads.py) for each
-seed once, with its input files under one work dir, and then runs all the
-requests through ``halinkit.cli.main`` in one child process per ``src``
-tree: this checkout's and the other's.  The ``wall_time_ms`` field is
-dropped from each output.  It exits 1 and lists every request whose exit
-code, stdout or stderr differs, and exits 0 when none does.
+of SEEDS once, with its input files under one work dir, and then replays
+all the requests once through ``halinkit.cli.main`` with perfbench's
+worker, in one child process per ``src`` tree: this checkout's and the
+other's.  The worker drops the ``wall_time_ms`` field from each output; a
+crash is compared by the last line of its traceback (exception type and
+message), since the frames name each tree's own paths.  It exits 1 and
+lists every request whose exit code, stdout or stderr differs, and exits
+0 when none does.
 """
 
 from __future__ import annotations
@@ -23,58 +26,43 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 import workloads  # noqa: E402
 from oracles import Oracle  # noqa: E402
+from worker import EXCEPTION  # noqa: E402
 
-# argv: src dir, requests file; prints one [exit code, stdout, stderr]
-# per request as a JSON list
-CHILD = r"""
-import contextlib, io, json, os, re, sys
-src = os.path.abspath(sys.argv[1])
-sys.path.insert(0, src)
-from halinkit import cli
-if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-    sys.exit(f"halinkit imported from {cli.__file__}, not {src}")
-wall = re.compile(r',?"wall_time_ms":[-+0-9.eE]+')
-with open(sys.argv[2], encoding="utf-8") as fh:
-    argvs = json.load(fh)
-answers = []
-for argv in argvs:
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the arguments
-        code = exc.code if isinstance(exc.code, int) else 2
-    except Exception as exc:  # a crash; its traceback names each tree's
-        # paths and lines, so it is compared by type and message
-        code = f"raised {type(exc).__name__}: {exc}"
-    answers.append([code, wall.sub("", out.getvalue()), err.getvalue()])
-json.dump(answers, sys.stdout)
-"""
+SEEDS = (1, 7919)
 
 
-def answers(root: str, requests_path: str) -> list[list]:
+def answers(root: str, requests_path: str, work: str) -> list[list]:
     """[exit code, stdout, stderr] of each request, run on root's src."""
+    result_path = os.path.join(work, "result.json")
+    # one untraced pass: SECONDS 0, TRACE 0 (no spans file is written)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.join(root, "src"),
-         requests_path], capture_output=True, text=True)
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), requests_path,
+         result_path, "0", "0", os.devnull],
+        cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"same_outputs: the run on {root} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
+    with open(result_path, encoding="utf-8") as fh:
+        outputs = json.load(fh)["outputs"]
+    got = [only for only, in outputs]  # one pass: one output each
+    for answer in got:
+        if answer[0] == EXCEPTION:
+            answer[2] = answer[2].rstrip().rpartition("\n")[2]
+    return got
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("other", help="root of the checkout to compare with")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         oracle, labels, argvs = Oracle(), [], []
         for workload in workloads.WORKLOADS:
-            for seed in args.seeds:  # a subdir each: file names repeat
+            for seed in SEEDS:  # a subdir each: file names repeat
                 inputs = os.path.join(work, f"{workload}-{seed}")
                 os.mkdir(inputs)
                 for i, request in enumerate(
@@ -84,8 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         requests_path = os.path.join(work, "requests.json")
         with open(requests_path, "w", encoding="utf-8") as fh:
             json.dump(argvs, fh)
-        ours = answers(ROOT, requests_path)
-        theirs = answers(os.path.abspath(args.other), requests_path)
+        ours = answers(ROOT, requests_path, work)
+        theirs = answers(os.path.abspath(args.other), requests_path, work)
     differ = 0
     for label, argv, mine, other in zip(labels, argvs, ours, theirs):
         parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"),
