@@ -1,29 +1,33 @@
 """Automorphism groups of finite graphs via individualization-refinement.
 
-The search individualizes a vertex of the first largest cell at each node,
-refines with a splitter queue, and compares each leaf with the first leaf.
-Exact rules prune it.  A node whose refinement trace leaves the first
-path's is dropped, and a subtree off the first path is left once it
+The search's root is the refined unit partition with each cell split,
+ascending, by the automorphism invariant f(v) = |N(N(v))| (McKay & Piperno
+2014), which splits regular graphs, and refined again; in a cell of degree d
+with 2d > n - 1, f is taken in the complement, whose neighbour sets are
+smaller there.  The search individualizes a vertex of the first largest cell
+at each node, refines with a splitter queue, and compares each leaf with the
+first leaf.  Exact rules prune it.  A node whose refinement trace leaves the
+first path's is dropped, and a subtree off the first path is left once it
 yields an automorphism (McKay 1981).  It ends at its first node whose
-non-singleton cells hold the vertices of the first path's at that depth
-(the early leaf of saucy, Darga, Sakallah & Markov 2008): gamma maps the
-first path's singletons to the node's and fixes the rest.  If gamma is
-an automorphism, the node is the gamma-image of the first path's, so its
-first-child descent individualizes the first path's vertices and its
-first leaf gives gamma: the same generator, in the same place.
-First-path nodes explore or orbit-prune their whole cell, so the
-generators found are strong for the first path as base, and the chain is
-read off them, not Schreier-Sims.  A vertex is individualized by swapping
-it to the back of its cell, orbits are a union-find joined once per
-generator (nauty's ``orbits``), and a candidate is tested only at the
-vertices it moves.
+non-singleton cells hold the vertices of the first path's at that depth (the
+early leaf of saucy, Darga, Sakallah & Markov 2008): gamma maps the first
+path's singletons to the node's and fixes the rest.  If gamma is an
+automorphism, the node is the gamma-image of the first path's, so its
+first-child descent individualizes the first path's vertices and its first
+leaf gives gamma: the same generator, in the same place.  First-path nodes
+explore or orbit-prune their whole cell, so the generators found are strong
+for the first path as base, and the chain is read off them, not
+Schreier-Sims.  A vertex is individualized by swapping it to the back of its
+cell, orbits are a union-find joined once per generator (nauty's
+``orbits``), and a candidate is tested only at the vertices it moves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, count
-from operator import ne
+from functools import reduce
+from itertools import accumulate, compress, count, groupby
+from operator import ior, itemgetter, ne
 
 from .graphs import Graph
 from .groups import PermGroup
@@ -217,6 +221,27 @@ def _join(parent: list[int], images: Sequence[int]) -> None:
         parent[max(a, b)] = min(a, b)  # a no-op when they are one
 
 
+def _root(g: Graph) -> ColoredPartition:
+    """The search's root (module docstring)."""
+    def co(v: int) -> frozenset[int]:  # v's neighbours in the complement
+        return everything.difference(adj[v], (v,))
+
+    everything, cells, adj = frozenset(range(g.n)), [], g.adjacency
+    root = refine(g, ColoredPartition.unit(g.n), _owned=True)
+    for s in sorted(set(root.cell)):
+        c = root.lab[s:root.end[s]]
+        if len(c) > 1:
+            nb = co if 2 * len(adj[c[0]]) > g.n - 1 else adj.__getitem__
+            f = [len(reduce(ior, map(nb, nb(v)), set())) for v in c]
+            if min(f) < max(f):
+                runs = groupby(sorted(zip(f, c)), itemgetter(0))
+                cells += ([v for _, v in run] for _, run in runs)
+                continue
+        cells.append(c)
+    return root if len(cells) == root.ncells else refine(
+        g, ColoredPartition(cells), _owned=True)
+
+
 def automorphism_group(g: Graph) -> PermGroup:
     """Generators for the full automorphism group of the graph.
 
@@ -286,5 +311,5 @@ def automorphism_group(g: Graph) -> PermGroup:
                 return True
         return False
 
-    search(refine(g, ColoredPartition.unit(n), _owned=True), (), 0)
+    search(_root(g), (), 0)
     return PermGroup.from_strong_generators(n, gens, first_path)

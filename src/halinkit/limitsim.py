@@ -134,14 +134,14 @@ def depth_budget(kind: str, rounds: int) -> int:
 def _tree_swap(u: int, n: int) -> Permutation:
     """Exchange the two child subtrees of u in a complete tree of n
     vertices: level by level, the left child's range [a, a + w) and the
-    right child's [a + w, a + 2w) trade places as two slices."""
+    right child's [a + w, a + 2w) trade places: a bijection by design."""
     images = list(range(n))
     a, w = 2 * u + 1, 1
     while a + 2 * w <= n:
         images[a:a + w], images[a + w:a + 2 * w] = \
             range(a + w, a + 2 * w), range(a, a + w)
         a, w = 2 * a + 1, 2 * w
-    return Permutation(images)
+    return Permutation._raw(tuple(images))
 
 
 def fixing_oracle(family: TruncatedFamily,

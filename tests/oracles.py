@@ -635,7 +635,7 @@ def automorphism_group_by_full_descent(g):
     first path is descended to a leaf, whose map from the first leaf is
     tested.  The library's search must list the same generators, in the
     same order, on the same base."""
-    from halinkit.autgroup import ColoredPartition, refine
+    from halinkit.autgroup import _root, refine
     from halinkit.groups import PermGroup
     from halinkit.perms import Permutation
 
@@ -689,5 +689,5 @@ def automorphism_group_by_full_descent(g):
                 return True
         return False
 
-    search(refine(g, ColoredPartition.unit(n), _owned=True), (), True)
+    search(_root(g), (), True)
     return PermGroup.from_strong_generators(n, gens, first_path)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import random
+import time
 
+import networkx as nx
 import pytest
 
-from halinkit.autgroup import ColoredPartition, automorphism_group, refine
+from halinkit.autgroup import (ColoredPartition, _root, automorphism_group,
+                               refine)
 from halinkit.graphs import (Graph, binary_tree, comb, complete,
                              complete_bipartite, cycle, path, petersen)
 from halinkit.groups import _schreier_sims
@@ -385,15 +388,15 @@ class TestAutomorphismGroup:
 
     def test_generators_and_bases_digest(self):
         # the generators and bases of the full-descent graphs, pinned by
-        # digest: the full-descent oracle shares _individualize and the
-        # partition layout, so it cannot see a change there
+        # digest: the full-descent oracle shares _root, _individualize and
+        # the partition layout, so it cannot see a change there
         data = json.dumps([[list(group.chain().base),
                             [list(p.images) for p in group.generators]]
                            for group in map(automorphism_group,
                                             full_descent_graphs())],
                           separators=(",", ":"))
         assert hashlib.sha256(data.encode()).hexdigest() == (
-            "823c61c6ffe42ff8af8e6a9a240317646b48251e0c9b2f307f9bfe76df2d4285")
+            "9629f19f5a42d9c6d6b06065aae57dd7d6a3a7ad44c1e7ae0419bbe36c38b910")
 
     def test_off_path_orbit_pruning_matches_full_descent(self):
         # refinement cannot tell the Shrikhande graph's vertices from the
@@ -445,6 +448,99 @@ class TestAutomorphismGroup:
                          (complete_bipartite(5, 5), 9), (cycle(40), 2),
                          (binary_tree(4).graph, 15), (comb(6).graph, 7)):
             assert len(automorphism_group(g).generators) == count
+
+
+def complement(g):
+    return Graph(g.n, [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                       if not g.has_edge(i, j)])
+
+
+def networkx_regular(d, n):
+    return Graph(n, nx.random_regular_graph(d, n, seed=d * n).edges)
+
+
+class TestRoot:
+    """The root's split by f(v) = |N(N(v))|, on the sparser of the graph
+    and its complement."""
+
+    def test_random_regular_orders_match_vf2(self):
+        # each order against networkx's VF2++ count of all automorphisms,
+        # which is independent of refinement; GraphMatcher's plain VF2
+        # takes tens of seconds on these
+        rng = random.Random(34)
+        for d in (3, 4, 5):
+            for n in range(20, 101, 20):
+                g = networkx_regular(d, n)
+                h = nx.Graph(g.edges)
+                count = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+                images = list(range(n))
+                rng.shuffle(images)
+                for x in (g, g.relabel(images)):
+                    group = automorphism_group(x)
+                    assert group.order() == count
+                    assert all(is_automorphism_by_edge_scan(x, p.images)
+                               for p in group.generators)
+
+    def test_cells_follow_a_relabeling(self):
+        rng = random.Random(35)
+        graphs = [networkx_regular(d, n) for d in (3, 4) for n in (20, 60)]
+        graphs += [complement(g) for g in graphs]
+        graphs += [comb(6).graph, petersen(), Graph(9), complete(9)]
+        split = 0
+        for g in graphs:
+            cells = _root(g).cells
+            split += len(cells) > 1
+            images = list(range(g.n))
+            rng.shuffle(images)
+            assert _root(g.relabel(images)).cells == tuple(
+                tuple(sorted(map(images.__getitem__, c))) for c in cells)
+        assert split >= 8
+
+    def test_complement_rule_gives_the_same_cells(self):
+        # f of the sparser side: a d-regular graph with 2d < n - 1 and its
+        # complement split their one root cell into the same sets
+        for d, n in ((3, 20), (3, 40), (4, 30), (5, 40)):
+            g = networkx_regular(d, n)
+            cells = set(_root(g).cells)
+            assert len(cells) > 1
+            assert set(_root(complement(g)).cells) == cells
+
+    def test_cubic_80_vertex_graph_makes_few_refines(self, monkeypatch):
+        # the root refine cannot split a regular graph, so without the
+        # invariant the root refines each of its 80 children (81 refines)
+        import halinkit.autgroup as autgroup
+        calls = []
+        refine_ = autgroup.refine
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return refine_(*args, **kwargs)
+
+        monkeypatch.setattr(autgroup, "refine", counted)
+        automorphism_group(networkx_regular(3, 80))
+        assert len(calls) <= 6
+
+    def test_split_step_time_on_dense_and_long_graphs(self, monkeypatch):
+        # process time of _root outside its refines: K_1000 takes the
+        # complement rule (the plain union reaches ~10^9 set entries),
+        # cycle(3000) the plain one
+        import halinkit.autgroup as autgroup
+        refine_, spent = autgroup.refine, [0.0]
+
+        def timed(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return refine_(*args, **kwargs)
+            finally:
+                spent[0] += time.process_time() - start
+
+        monkeypatch.setattr(autgroup, "refine", timed)
+        for g in (complete(1000), cycle(3000)):
+            g.adjacency
+            spent[0] = 0.0
+            start = time.process_time()
+            _root(g)
+            assert time.process_time() - start - spent[0] <= 0.5
 
 
 class TestIsAutomorphism:

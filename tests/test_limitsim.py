@@ -73,12 +73,15 @@ class TestFixingOracle:
         with pytest.raises(ValueError, match="boundary"):
             fixing_oracle(fam, {0, 3})
 
-    @pytest.mark.parametrize("depth", range(1, 11))
+    @pytest.mark.parametrize("depth", range(1, 13))
     def test_tree_swap_matches_pair_loop(self, depth):
-        n = binary_tree(depth).graph.n
+        # _tree_swap skips the constructor's check, so its images must
+        # pass it: a permutation, and an involution
+        n = binary_tree(depth).n
         for u in range(2 ** depth - 1):  # every vertex with children
             swap = _tree_swap(u, n)
             assert swap == tree_swap_by_pairs(u, n)
+            assert Permutation(swap.images) == swap
             assert (swap * swap).is_identity()
 
     @pytest.mark.parametrize("depth", range(1, 11))
