@@ -1,8 +1,9 @@
 """Permutation groups backed by a deterministic base and strong generating set.
 
 Everything downstream (orders, membership, point and setwise stabilizers,
-exhaustive element listings) runs through the BSGS.  Generators known to be
-strong for a base give the chain directly; any others go through the classic
+exhaustive element listings) runs through the BSGS, a chain of Schreier trees
+that form each transversal element on first use.  Generators known to be strong
+for a base give the chain directly; any others go through the classic
 deterministic Schreier-Sims procedure, so repeated runs build identical chains.
 A stabilizer query rebases the group's own chain: deterministic swaps of
 adjacent base points bring the query points to the front, with no Schreier-Sims
@@ -41,22 +42,51 @@ class GroupTooLargeError(ValueError):
         self.limit = limit
 
 
+class _Tree(dict):
+    """A Schreier tree, keys ascending: each orbit point maps to its transversal
+    element or, until :meth:`u` asks, to its breadth-first edge (g, parent)."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, point: int, gens: Sequence[Permutation], e: Permutation):
+        edges, queue = {point: e}, [point]
+        for a in queue:  # the queue grows while it is read
+            for g in gens:
+                b = g.images[a]
+                if b not in edges:
+                    edges[b] = g, a
+                    queue.append(b)
+        super().__init__(sorted(edges.items()))
+        self.points = [*self]
+
+    def u(self, b: int) -> Permutation:
+        """u_b, formed with its unformed ancestors' and cached on first use."""
+        u = self[b]
+        if u.__class__ is tuple:
+            path = []
+            while u.__class__ is tuple:  # the edge (g, parent): u_b = g * u_parent
+                path.append((b, u[0]))
+                b, u = u[1], self[u[1]]
+            for b, g in reversed(path):
+                u = self[b] = g * u
+        return u
+
+
 class _Chain:
-    """A stabilizer chain: base points plus per-level generators/transversals.
+    """A stabilizer chain: base points plus per-level generators and trees.
 
     Level i holds generators of the pointwise stabilizer of base[:i] and the
-    transversal of the orbit of base[i] under them, keyed in ascending point
-    order, the order :meth:`walk` visits.  ``gens[m]`` generates the
-    pointwise stabilizer of base[:m], for m = 0..len(base); each list holds
-    the next one, so ``gens[0]`` is a strong generating set.  :meth:`rebased`
-    moves given points to the front of the base by swapping adjacent points.
+    Schreier tree of base[i] under them, whose ascending keys are the order
+    :meth:`walk` visits.  ``gens[m]`` generates the pointwise stabilizer of
+    base[:m], for m = 0..len(base); each list holds the next one, so ``gens[0]``
+    is a strong generating set.  :meth:`rebased` swaps adjacent base points to
+    move given points to the front; trees it shares only gain elements.
     """
 
     __slots__ = ("degree", "base", "gens", "transversals")
 
     def __init__(self, degree: int, base: list[int],
-                 gens: list[list[Permutation]],
-                 transversals: list[dict[int, Permutation]]):
+                 gens: list[list[Permutation]], transversals: list[_Tree]):
         self.degree = degree
         self.base = base
         self.gens = gens
@@ -66,12 +96,13 @@ class _Chain:
     def read(cls, degree: int, base: Sequence[int],
              strong_gens: Sequence[Permutation]) -> "_Chain":
         """The chain of strong generators for the base: level i gets those
-        fixing base[:i] and their orbit transversal of base[i]."""
+        fixing base[:i] and their Schreier tree of base[i]; no product."""
         gens, transversals, level = [], [], list(strong_gens)
+        e = Permutation.identity(degree)
         for b in base:
             gens.append(level)
-            transversals.append(_orbit_transversal(degree, b, level))
-            level = [g for g in level if g(b) == b]
+            transversals.append(_Tree(b, level, e))
+            level = [g for g in level if g.images[b] == b]
         return cls(degree, list(base), gens + [level], transversals)
 
     @property
@@ -93,7 +124,7 @@ class _Chain:
         e = Permutation.identity(self.degree)
         chain = _Chain(self.degree, self.base + new,
                        [list(g) for g in self.gens] + [[] for _ in new],
-                       self.transversals + [{p: e} for p in new])
+                       self.transversals + [_Tree(p, [], e) for p in new])
         for j, p in enumerate(points):
             for i in reversed(range(j, chain.base.index(p))):
                 chain._swap(i)
@@ -102,32 +133,32 @@ class _Chain:
     def _swap(self, i: int) -> None:
         """Exchange base points b = base[i] and c = base[i+1] in place.
 
-        Level i keeps its group G and takes c's orbit.  Level i+1 becomes
-        G_c, generated by G_{b,c} and, per point a of b's orbit not yet
-        reached, u_i(a) * u_{i+1}(d) if d = u_i(a)^-1(c) is in level i+1's
-        orbit: it fixes c and maps b to a.  The orbit of b is complete at
-        |b^G| * |c^(G_b)| / |c^G| points (Seress 2003, section 5.4)."""
+        Level i keeps its group G and takes c's tree.  Level i+1 becomes G_c,
+        generated by G_{b,c} and, per point a of b's orbit not yet reached,
+        u_i(a) * u_{i+1}(d) (it fixes c, maps b to a) if d = u_i(a)^-1(c) is
+        in level i+1's tree.  b's orbit, grown in place, is complete at |b^G|
+        * |c^(G_b)| / |c^G| points (Seress 2003, section 5.4)."""
         b, c = self.base[i], self.base[i + 1]
         t_b, t_c = self.transversals[i], self.transversals[i + 1]
-        t = _orbit_transversal(self.degree, c, self.gens[i])
+        t = _Tree(c, self.gens[i], t_b[b])  # a root maps to the identity
         if len(t) == 1:  # G fixes c: G_c = G, and the levels trade places
             self.gens[i + 1] = list(self.gens[i])
-            orbit_b = t_b
         else:
             size = len(t_b) * len(t_c) // len(t)
             self.gens[i + 1] = list(self.gens[i + 2])
-            orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
-            for a in t_b:
+            orbit_b = _orbit(self.gens[i + 1], b)
+            for a in t_b.points:
                 if len(orbit_b) == size:
                     break
-                d = -1 if a in orbit_b else t_b[a].images.index(c)
+                d = -1 if a in orbit_b else t_b.u(a).images.index(c)
                 if d in t_c:
-                    g = t_b[a] * t_c[d]
+                    g = t_b.u(a) * t_c.u(d)
                     for level in self.gens[:i + 2]:
                         level.append(g)
-                    orbit_b = _orbit_transversal(self.degree, b, self.gens[i + 1])
+                    _orbit(self.gens[i + 1], b, orbit_b)
+            t_b = _Tree(b, self.gens[i + 1], t[c])
         self.base[i:i + 2] = c, b
-        self.transversals[i:i + 2] = t, orbit_b
+        self.transversals[i:i + 2] = t, t_b
 
     def order(self) -> int:
         return math.prod(map(len, self.transversals))
@@ -141,7 +172,7 @@ class _Chain:
             if a not in t:
                 return j, p
             if a != self.base[j]:
-                p = t[a].inverse() * p
+                p = t.u(a).inverse() * p
         return len(self.base), p
 
     def walk(self, keep: Callable[[int, Permutation, int], bool] | None = None,
@@ -150,26 +181,27 @@ class _Chain:
         """The coset products w * u_level * ... * u_{stop-1}, depth first
         in :meth:`PermGroup.elements` order (w defaults to the identity,
         stop to the chain length).  The child with u_level(base[level]) = a
-        is entered only if ``keep(level, w, a)``, asked before its product,
-        which maps base[level] to w(a), is formed.  A stack of (product,
-        unvisited transversal entries) pairs, one per level, stands in for
+        is entered only if ``keep(level, w, a)``, asked before u_level or
+        the product, which maps base[level] to w(a), is formed.  A stack of
+        (product, unvisited tree points) pairs, one per level, stands in for
         recursion, so no chain is too deep to walk."""
         w = Permutation.identity(self.degree) if w is None else w
         stop = len(self.base) if stop is None else stop
         if level == stop:
             yield w
             return
-        stack = [(w, iter(self.transversals[level].items()))]
+        stack = [(w, iter(self.transversals[level].points))]
         while stack:
             j = level + len(stack) - 1
             w, points = stack[-1]
-            for a, u in points:
+            u = self.transversals[j].u
+            for a in points:
                 if keep is None or keep(j, w, a):
-                    child = w * u
+                    child = w * u(a)
                     if j + 1 == stop:
                         yield child
                     else:
-                        stack.append((child, iter(self.transversals[j + 1].items())))
+                        stack.append((child, iter(self.transversals[j + 1].points)))
                         break
             else:
                 stack.pop()
@@ -177,13 +209,13 @@ class _Chain:
     def element(self, r: int) -> Permutation:
         """Element r of the order ``walk`` lists the group in: r's mixed-radix
         digit d at level j (level 0 most significant) picks the d-th key of
-        its transversal, with one gather per key that is not the base point."""
+        its tree, with one gather per key that is not the base point."""
         images = tuple(range(self.degree))
         for b, t in zip(reversed(self.base), reversed(self.transversals)):
             r, digit = divmod(r, len(t))  # images <- u_j * images
-            a = list(t)[digit]
+            a = t.points[digit]
             if a != b:  # so degree >= 2: itemgetter gives a tuple
-                images = itemgetter(*images)(t[a].images)
+                images = itemgetter(*images)(t.u(a).images)
         return Permutation._raw(images)
 
     def set_stabilizer_gens(self, m: int) -> Iterator[Permutation]:
@@ -201,20 +233,23 @@ class _Chain:
             return w(a) in target
 
         for j in reversed(range(m)):
-            skip = _orbit(gens, self.base[j])
-            for a, u in self.transversals[j].items():
+            skip, t = _orbit(gens, self.base[j]), self.transversals[j]
+            for a in t.points:
                 if a in target and a not in skip:
-                    leaf = next(self.walk(keep, j + 1, u, m), None)
+                    leaf = next(self.walk(keep, j + 1, t.u(a), m), None)
                     if leaf is not None:
                         yield leaf
                         gens.append(leaf)
                     skip |= _orbit(gens, a)
 
 
-def _orbit(gens: Sequence[Permutation], x: int) -> set[int]:
-    """The orbit of x under the generators, by closure."""
-    seen = {x}
-    queue = [x]
+def _orbit(gens: Sequence[Permutation], x: int, seen: set[int] | None = None) -> set[int]:
+    """The orbit of x under the generators, by closure.  Given ``seen``, x's
+    orbit under all but the last, it grows that set in place from the last's
+    images outside it."""
+    queue = [x] if seen is None else list({gens[-1].images[y] for y in seen} - seen)
+    seen = {x} if seen is None else seen
+    seen.update(queue)
     for a in queue:  # the queue grows while it is read
         for g in gens:
             b = g.images[a]
@@ -222,20 +257,6 @@ def _orbit(gens: Sequence[Permutation], x: int) -> set[int]:
                 seen.add(b)
                 queue.append(b)
     return seen
-
-
-def _orbit_transversal(degree: int, point: int,
-                       gens: Sequence[Permutation]) -> dict[int, Permutation]:
-    t = {point: Permutation.identity(degree)}
-    queue = [point]
-    for a in queue:  # the queue grows while it is read
-        ua = t[a]
-        for g in gens:
-            b = g(a)
-            if b not in t:
-                t[b] = g * ua
-                queue.append(b)
-    return {a: t[a] for a in sorted(t)}  # keys ascending
 
 
 def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
@@ -256,10 +277,9 @@ def _schreier_sims(degree: int, generators: Sequence[Permutation]) -> _Chain:
     while i >= 0:
         stuck: tuple[int, Permutation] | None = None
         t_i = chain.transversals[i]
-        for a, ua in t_i.items():
+        for a in t_i.points:
             for g in chain.gens[i]:
-                ub = t_i[g(a)]
-                schreier = ub.inverse() * (g * ua)
+                schreier = t_i.u(g.images[a]).inverse() * (g * t_i.u(a))
                 if schreier.is_identity():
                     continue
                 j, residue = chain.sift(schreier, i + 1)

@@ -3,7 +3,7 @@
 import random
 
 from halinkit.graphs import (Graph, complete, complete_bipartite, cycle,
-                             is_connected, path)
+                             is_connected, path, petersen)
 
 RANDOM_SEED = 20240801
 RANDOM_COUNT = 100
@@ -93,3 +93,13 @@ def planted(n, transpositions, rng):
 def small_corpus():
     """The full <= 8 vertex corpus used by the acceptance oracle sweeps."""
     return family_corpus() + random_corpus()
+
+
+def sympy_corpus():
+    """Graphs past the n <= 8 corpus whose groups are checked against
+    sympy: seeded 3-regular graphs on 10..30 vertices, Petersen, Q4, K_5,5."""
+    rng = random.Random(3)
+    out = [(f"3-regular{n}", random_regular(n, 3, rng))
+           for n in range(10, 31, 2)]
+    return out + [("petersen", petersen()), ("Q4", hypercube(4)),
+                  ("K55", complete_bipartite(5, 5))]

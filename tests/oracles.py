@@ -198,7 +198,7 @@ def sample_by_products(group, count, seed):
         r, factors = rng.randrange(chain.order()), []
         for t in reversed(chain.transversals):
             r, digit = divmod(r, len(t))
-            factors.append(t[sorted(t)[digit]])
+            factors.append(t.u(sorted(t)[digit]))
         out.append(reduce(mul, reversed(factors),
                           Permutation.identity(group.degree)))
     return out
@@ -212,8 +212,53 @@ def elements_by_products(group):
 
     elems = [Permutation.identity(group.degree)]
     for t in reversed(group.chain().transversals):
-        elems = [t[a] * e for a in sorted(t) for e in elems]
+        elems = [t.u(a) * e for a in sorted(t) for e in elems]
     return elems
+
+
+def orbit_transversal(degree, point, gens):
+    """The transversal of the point's orbit with every element formed as
+    its breadth-first search reaches it: b = g(a) first gets u_b = g * u_a,
+    keys ascending.  The reference for a chain level's Schreier tree."""
+    from halinkit.perms import Permutation
+
+    t = {point: Permutation.identity(degree)}
+    queue = [point]
+    for a in queue:  # the queue grows while it is read
+        ua = t[a]
+        for g in gens:
+            b = g(a)
+            if b not in t:
+                t[b] = g * ua
+                queue.append(b)
+    return {a: t[a] for a in sorted(t)}
+
+
+def swap_gens_by_rebuilt_orbits(chain, i):
+    """The generator lists ``chain._swap(i)`` leaves, with b's orbit searched
+    again from scratch after each generator found, not grown in place: the
+    reference for the swap.  The chain is not changed."""
+    from halinkit.groups import _orbit
+
+    gens = [list(level) for level in chain.gens]
+    b, c = chain.base[i], chain.base[i + 1]
+    t_b, t_c = chain.transversals[i], chain.transversals[i + 1]
+    orbit_c = _orbit(gens[i], c)
+    if len(orbit_c) == 1:
+        gens[i + 1] = list(gens[i])
+        return gens
+    size = len(t_b) * len(t_c) // len(orbit_c)
+    gens[i + 1] = list(gens[i + 2])
+    for a in sorted(t_b):
+        orbit_b = _orbit(gens[i + 1], b)
+        if len(orbit_b) == size:
+            break
+        d = t_b.u(a).inverse()(c)
+        if a not in orbit_b and d in t_c:
+            g = t_b.u(a) * t_c.u(d)
+            for level in gens[:i + 2]:
+                level.append(g)
+    return gens
 
 
 def prefixed_schreier_sims(group, points):
@@ -241,7 +286,7 @@ def prefixed_schreier_sims(group, points):
         t_i = chain.transversals[i]
         for a in list(chain.transversals[i]):
             for g in chain.gens[i]:
-                schreier = t_i[g(a)].inverse() * (g * t_i[a])
+                schreier = t_i.u(g(a)).inverse() * (g * t_i.u(a))
                 if not schreier.is_identity():
                     j, residue = chain.sift(schreier, i + 1)
                     if not residue.is_identity():
@@ -277,7 +322,7 @@ def set_stabilizer_by_first_leaf(group, points):
         t = chain.transversals[level]
         for a in sorted(t):
             if w(a) in target:
-                leaf = first_leaf(level + 1, w * t[a])
+                leaf = first_leaf(level + 1, w * t.u(a))
                 if leaf is not None:
                     return leaf
         return None
@@ -285,7 +330,7 @@ def set_stabilizer_by_first_leaf(group, points):
     for j in range(m):
         for a in sorted(chain.transversals[j]):
             if a != chain.base[j] and a in target:
-                leaf = first_leaf(j + 1, chain.transversals[j][a])
+                leaf = first_leaf(j + 1, chain.transversals[j].u(a))
                 if leaf is not None:
                     gens.append(leaf)
     return gens
@@ -311,7 +356,7 @@ def motion_by_recursion(group):
             return
         t = chain.transversals[level]
         for a in sorted(t):
-            w2 = w * t[a]
+            w2 = w * t.u(a)
             rec(level + 1, w2, moved + (w2(base[level]) != base[level]))
 
     rec(0, Permutation.identity(group.degree), 0)
@@ -338,7 +383,7 @@ def disjoint_translate_by_recursion(group, y, z):
             return w if yset.isdisjoint(w(v) for v in zset) else None
         t = chain.transversals[level]
         for a in sorted(t):
-            w2 = w * t[a]
+            w2 = w * t.u(a)
             if any(w2(b) in yset for b in zset & (decided | {base[level]})):
                 continue
             found = rec(level + 1, w2)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,13 +12,16 @@ from halinkit.graphs import (Graph, binary_tree, complete, complete_bipartite,
                              cycle, path, petersen)
 from halinkit.invariants import determining_number, distinguishing_cost
 from halinkit.perms import Permutation
+from halinkit import groups
 from halinkit.groups import GroupTooLargeError, PermGroup, _Chain
 
 from conftest import dihedral
-from corpus import hypercube, random_regular, small_corpus
+from corpus import (hypercube, random_corpus, random_regular, small_corpus,
+                    sympy_corpus)
 from oracles import (brute_automorphisms, brute_point_stabilizer,
                      brute_set_stabilizer, networkx_automorphisms,
-                     prefixed_schreier_sims)
+                     orbit_transversal, prefixed_schreier_sims,
+                     swap_gens_by_rebuilt_orbits)
 
 
 def symmetric(n):
@@ -273,14 +277,24 @@ class TestRebase:
             assert group.set_stabilizer(points).order() == cosets * pointwise
 
     def test_rebase_leaves_the_group_chain_alone(self):
+        """A tree the rebased chain shares changes only where an edge gave
+        way to the element it stands for, the eager search's element."""
         group = automorphism_group(petersen())
         chain = group.chain()
         before = (list(chain.base), [list(g) for g in chain.gens],
                   [list(t.items()) for t in chain.transversals])
+        eager = [orbit_transversal(group.degree, b, gens)
+                 for b, gens in zip(chain.base, chain.gens)]
         chain.rebased([3, 7, 9])
         group.set_stabilizer([2, 5, 8, 9])
-        assert before == (chain.base, chain.gens,
-                          [list(t.items()) for t in chain.transversals])
+        assert before[:2] == (chain.base, chain.gens)
+        formed = 0
+        for items, t, want in zip(before[2], chain.transversals, eager):
+            assert [a for a, _ in items] == list(t)
+            for a, was in items:
+                formed += t[a] is not was
+                assert t[a] is was or (type(was) is tuple and t[a] == want[a])
+        assert formed > 0
 
     def test_binary_tree_point_stabilizers(self):
         group = automorphism_group(binary_tree(7).graph)
@@ -437,7 +451,7 @@ class TestSetStabilizerPastBruteForce:
 
 
 class TestChainLevels:
-    """Each chain level is one transversal dict, keyed in ascending point
+    """Each chain level is one Schreier tree, keyed in ascending point
     order: the order ``elements()`` lists the group in."""
 
     @staticmethod
@@ -514,3 +528,159 @@ class TestChainLevels:
                     separators=(",", ":")).encode())
         assert digest.hexdigest() == (
             "78f6532b95c874652841bf508442d75378f11351bca271737039fb8d72c8f58e")
+
+
+class TestSchreierTrees:
+    """A level's Schreier tree forms, on first use, the transversal element
+    the eager breadth-first search over the same generators forms up front,
+    with the same keys in the same order; it forms no more than it is asked
+    for."""
+
+    @staticmethod
+    def searched(monkeypatch):
+        """Each tree built from now on, by id, with the eager transversal of
+        its root under the generators it was searched over."""
+        out = {}
+        search = groups._Tree.__init__
+
+        def recorded(tree, point, gens, e):
+            search(tree, point, gens, e)
+            out[id(tree)] = tree, orbit_transversal(e.degree, point, list(gens))
+
+        monkeypatch.setattr(groups._Tree, "__init__", recorded)
+        return out
+
+    def assert_eager(self, graphs, monkeypatch, seed):
+        """Chains from the search's read, a second read, Schreier-Sims,
+        rebases and set stabilizers; elements forced from the deepest key."""
+        searched = self.searched(monkeypatch)
+        rng = random.Random(seed)
+        for g in graphs:
+            group = automorphism_group(g)
+            chain, n = group.chain(), g.n
+            chains = [chain, _Chain.read(n, chain.base, chain.strong_gens),
+                      groups._schreier_sims(n, group.generators)]
+            for _ in range(3):
+                points = rng.sample(range(n), rng.randint(1, n))
+                chains += [chain.rebased(points),
+                           group.set_stabilizer(points).chain()]
+            for t in (t for c in chains for t in c.transversals):
+                want = searched[id(t)][1]
+                assert list(t) == t.points == list(want)
+                assert ([t.u(a) for a in reversed(t.points)]
+                        == list(want.values())[::-1])
+
+    @pytest.mark.parametrize("name", [name for name, _ in sympy_corpus()])
+    def test_sympy_corpus_trees_form_the_eager_transversals(self, name,
+                                                             monkeypatch):
+        g = dict(sympy_corpus())[name]
+        self.assert_eager([g], monkeypatch, g.n)
+
+    def test_random_corpus_trees_form_the_eager_transversals(self, monkeypatch):
+        self.assert_eager([g for _, g in random_corpus()], monkeypatch, 35)
+
+    def test_orbit_grown_in_place_is_the_orbit(self):
+        """An orbit grown in place by a new last generator, as a swap grows
+        b's, is the orbit a search over all the generators finds."""
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            gens = [Permutation.from_cycles(n, [rng.sample(range(n), rng.randint(1, n))])
+                    for _ in range(rng.randint(1, 4))]
+            b = rng.randrange(n)
+            orbit = groups._orbit(gens[:-1], b)
+            assert groups._orbit(gens, b, orbit) is orbit
+            assert orbit == groups._orbit(gens, b)
+
+    @pytest.mark.parametrize("corpus", ["sympy", "random"])
+    def test_swaps_find_the_generators_of_rebuilt_orbits(self, corpus):
+        """Every adjacent swap of every chain the rebases pass through finds
+        the generators a swap that searches b's orbit again after each one
+        finds (``oracles.swap_gens_by_rebuilt_orbits``)."""
+        graphs = sympy_corpus() if corpus == "sympy" else random_corpus()
+        rng, swaps = random.Random(17), 0
+        swap = _Chain._swap
+
+        def checked(chain, i):
+            nonlocal swaps
+            want = swap_gens_by_rebuilt_orbits(chain, i)
+            swap(chain, i)
+            assert chain.gens == want
+            swaps += 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Chain, "_swap", checked)
+            for _, g in graphs:
+                chain = automorphism_group(g).chain()
+                for _ in range(3):
+                    chain.rebased(rng.sample(range(g.n), rng.randint(1, g.n)))
+        assert swaps > 0
+
+    def test_reading_a_long_cycle_chain_forms_few_products(self, monkeypatch):
+        """The read is orbit-only; checking the two strong generators forms
+        the few elements their sifts ask for.  An eager read forms one
+        product per orbit point."""
+        group = automorphism_group(cycle(3000))
+        products = 0
+        multiply = Permutation.__mul__
+
+        def counted(p, q):
+            nonlocal products
+            products += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        read = PermGroup.from_strong_generators(3000, group.generators,
+                                                group.chain().base)
+        assert read.order() == 6000 and products <= 10
+
+    def test_edgeless_chain_is_small(self):
+        """Sym(300)'s chain holds an edge per orbit point, not a degree-300
+        permutation (an eager chain holds over 100 MB)."""
+        group = automorphism_group(Graph(300, []))
+        tracemalloc.start()
+        try:
+            read = PermGroup.from_strong_generators(300, group.generators,
+                                                    group.chain().base)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert read.order() == math.factorial(300)
+        assert held < 16_000_000
+
+    def test_set_stabilizer_walk_forms_no_rejected_child(self, monkeypatch):
+        """Inside the backtrack's walks, each element formed is that of
+        the child whose ``keep`` test just passed."""
+        group = automorphism_group(petersen())
+        chain = group.chain().rebased([0, 1, 2, 3])
+        log, walking = [], [False]
+        walk, u = _Chain.walk, groups._Tree.u
+
+        def logged_walk(chain, keep, level=0, w=None, stop=None):
+            def logged_keep(j, w, a):
+                kept = keep(j, w, a)
+                log.append((chain.transversals[j], a, kept))
+                return kept
+
+            inner = walk(chain, logged_keep, level, w, stop)
+            while True:
+                walking[0] = True
+                leaf = next(inner, None)
+                walking[0] = False
+                if leaf is None:
+                    return
+                yield leaf
+
+        def logged_u(tree, a):
+            if walking[0]:
+                log.append((tree, a, None))
+            return u(tree, a)
+
+        monkeypatch.setattr(_Chain, "walk", logged_walk)
+        monkeypatch.setattr(groups._Tree, "u", logged_u)
+        assert len(list(chain.set_stabilizer_gens(4))) > 0
+        formed = [i for i, (_, _, kept) in enumerate(log) if kept is None]
+        assert formed and any(kept is False for _, _, kept in log)
+        for i in formed:  # (tree, a, True), then (tree, a, None)
+            assert log[i - 1][0] is log[i][0]
+            assert log[i - 1][1:] == (log[i][1], True)

@@ -7,22 +7,12 @@ import pytest
 
 from halinkit.autgroup import automorphism_group
 from halinkit.cli import _sample_elements
-from halinkit.graphs import complete_bipartite, petersen
 
-from corpus import hypercube, random_regular
+from corpus import sympy_corpus
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-
-def _graphs():
-    rng = random.Random(3)
-    out = [(f"3-regular{n}", random_regular(n, 3, rng))
-           for n in range(10, 31, 2)]
-    return out + [("petersen", petersen()), ("Q4", hypercube(4)),
-                  ("K55", complete_bipartite(5, 5))]
-
-
-GRAPHS = _graphs()
+GRAPHS = sympy_corpus()
 
 
 def _sympy_group(group):
