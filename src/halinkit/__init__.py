@@ -14,7 +14,7 @@ _EXPORTS = {  # each submodule but cli: the names it exports, in __all__ order
     "graphs": "Graph Graph6Error TruncatedFamily binary_tree comb complete "
               "complete_bipartite cycle encode_graph6 from_json is_connected "
               "make_family parse_graph6 path petersen to_json",
-    "groups": "GroupTooLargeError PermGroup BudgetExceededError",
+    "groups": "GroupTooLargeError PermGroup",
     "invariants": "Bounds StabilizerChain bounds determining_number "
                   "disjoint_translate distinguishing_cost "
                   "greedy_distinguishing_chain is_base is_distinguishing "
@@ -22,7 +22,7 @@ _EXPORTS = {  # each submodule but cli: the names it exports, in __all__ order
     "limitsim": "ConstructionState EpsilonWord PairCertificate alpha "
                 "alpha_inverse_perm alpha_perm depth_budget fixing_oracle "
                 "run_construction verify_distinctness verify_finitary",
-    "perms": "Permutation",
+    "perms": "Permutation BudgetExceededError DEFAULT_SUBSET_BUDGET",
     "topology": "Exhaustion check_cauchy check_ultrametric confluent dist "
                 "dist_star",
 }

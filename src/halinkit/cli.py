@@ -18,11 +18,9 @@ import sys
 import time
 
 from . import __version__
-from .autgroup import automorphism_group
 from .graphs import (FAMILY_NAMES, Graph, Graph6Error, TruncatedFamily,
                      from_json, make_family, parse_graph6)
-from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
-from .perms import Permutation
+from .perms import BudgetExceededError, DEFAULT_SUBSET_BUDGET, Permutation
 
 
 def _deferred(module: str, name: str):
@@ -37,6 +35,7 @@ def _deferred(module: str, name: str):
     return forward
 
 
+automorphism_group = _deferred("autgroup", "automorphism_group")
 determining_number, distinguishing_cost, motion, greedy_distinguishing_chain = (
     _deferred("invariants", name) for name in (
         "determining_number", "distinguishing_cost", "motion",
@@ -133,7 +132,9 @@ def _as_graph(obj: Graph | TruncatedFamily) -> Graph:
 
 
 def _digest(n: int, edges: list[tuple[int, int]]) -> str:
-    payload = f"{n};" + ",".join(f"{i}-{j}" for i, j in edges)
+    # "i-j" per edge, comma-separated, in one %-format over the flat edges
+    payload = f"{n};" + ("%d-%d," * len(edges))[:-1] % tuple(
+        itertools.chain.from_iterable(edges))
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 

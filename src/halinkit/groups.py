@@ -16,21 +16,8 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .perms import Permutation, point_set
-
-
-DEFAULT_SUBSET_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive subset search hit its budget before finishing."""
-
-    def __init__(self, examined: int, budget: int, size: int):
-        super().__init__(f"subset search budget exhausted at size {size} "
-                         f"({examined} > {budget})")
-        self.examined = examined
-        self.budget = budget
-        self.size = size
+from .perms import (BudgetExceededError, DEFAULT_SUBSET_BUDGET,  # re-exported
+                    Permutation, point_set)
 
 
 class GroupTooLargeError(ValueError):

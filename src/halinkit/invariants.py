@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .groups import BudgetExceededError, DEFAULT_SUBSET_BUDGET, PermGroup
-from .perms import Permutation, point_set
+from .groups import PermGroup
+from .perms import (BudgetExceededError, DEFAULT_SUBSET_BUDGET, Permutation,
+                    point_set)
 
 
 class Bounds(namedtuple("Bounds", "n popcount cost_bound chain_bound")):

@@ -2,12 +2,27 @@
 
 Composition is right-to-left throughout: ``(a * b)(x) == a(b(x))``, so in a
 product the rightmost factor acts first; each product is a C-level gather.
+The searches' work budget lives here too: every command imports this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
+
+
+DEFAULT_SUBSET_BUDGET = 10_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive subset search hit its budget before finishing."""
+
+    def __init__(self, examined: int, budget: int, size: int):
+        super().__init__(f"subset search budget exhausted at size {size} "
+                         f"({examined} > {budget})")
+        self.examined = examined
+        self.budget = budget
+        self.size = size
 
 
 def point_set(degree: int, points: Iterable[int]) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -17,7 +18,8 @@ from halinkit import cli
 from halinkit.autgroup import automorphism_group
 from halinkit.cli import _sample_elements, main
 from halinkit.graphs import (Graph, binary_tree, complete, complete_bipartite,
-                             cycle, encode_graph6, path, petersen, to_json)
+                             cycle, encode_graph6, from_json, make_family, path,
+                             petersen, to_json)
 from halinkit.groups import PermGroup
 from halinkit.limitsim import alpha_perm, depth_budget
 from halinkit.perms import Permutation
@@ -527,6 +529,32 @@ class TestInputChannels:
         assert payload(out)["results"]["order"] == 120
 
 
+class TestDigest:
+    """The input digest hashes "n;i-j,i-j,..." over the sorted edge list."""
+
+    @staticmethod
+    def joined(n, edges):
+        text = f"{n};" + ",".join(f"{i}-{j}" for i, j in edges)
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv, blob", [
+        (["limit-sim", "--family", "comb", "--depth", "6", "--k", "2"], None),
+        (["aut", "--input", "-"],
+         '{"n": 7, "edges": [[5, 6], [3, 0], [1, 2], [4, 3], [6, 0]]}'),
+        (["aut", "--input", "-"], '{"n": 3, "edges": []}'),
+    ], ids=["family", "input", "no-edges"])
+    def test_digest_is_the_joined_edge_text(self, capsys, monkeypatch, argv,
+                                            blob):
+        if blob is None:
+            g = make_family("comb", depth=6)
+        else:
+            g = from_json(blob)
+            monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert payload(out)["input"]["digest"] == self.joined(g.n, g.edge_list())
+
+
 class TestDeterminism:
     COMMANDS = [
         ("aut", "--family", "petersen"),
@@ -680,8 +708,7 @@ class TestImportPath:
         assert probe["results"]["ultrametric"] == {"triples": 20,
                                                   "violations": []}
 
-    EAGER = ["halinkit", "halinkit.autgroup", "halinkit.cli",
-             "halinkit.graphs", "halinkit.groups", "halinkit.perms"]
+    EAGER = ["halinkit", "halinkit.cli", "halinkit.graphs", "halinkit.perms"]
     # names that tracing tools wrap in the cli namespace as soon as it is
     # imported; a missing one would drop its metrics without an error
     CLI_NAMES = ("main", "parse_graph6", "from_json", "make_family",
@@ -704,7 +731,7 @@ class TestImportPath:
         "print(json.dumps({'import': at_import, 'missing': missing,\n"
         "                  'code': code, 'run': loaded()}))\n")
 
-    def probe_command(self, *argv):
+    def probe_command(self, *argv, code=0):
         src = os.path.dirname(os.path.dirname(halinkit.__file__))
         done = subprocess.run(
             [sys.executable, "-S", "-c", self.COMMAND_PROBE, src,
@@ -712,7 +739,7 @@ class TestImportPath:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         probe = json.loads(done.stdout)
-        assert probe["code"] == 0
+        assert probe["code"] == code
         return probe
 
     def test_cli_import_loads_only_what_every_command_runs(self):
@@ -721,17 +748,23 @@ class TestImportPath:
         assert probe["missing"] == []
 
     @pytest.mark.parametrize("argv, loads", [
-        (["aut", "--family", "cycle", "--n", "6"], []),
-        (["base", "--family", "cycle", "--n", "6"], ["invariants"]),
+        (["aut", "--family", "cycle", "--n", "6"], ["autgroup", "groups"]),
+        (["base", "--family", "cycle", "--n", "6"],
+         ["autgroup", "groups", "invariants"]),
         (["limit-sim", "--family", "comb", "--depth", "6", "--k", "3"],
          ["limitsim", "topology"]),
         (["topology", "--family", "cycle", "--n", "6", "--exhaustion",
-          "0,1|0,1,2,3", "--triples", "20"], ["topology"]),
+          "0,1|0,1,2,3", "--triples", "20"], ["autgroup", "groups", "topology"]),
     ], ids=["aut", "base", "limit-sim", "topology"])
     def test_a_command_loads_only_the_modules_it_runs(self, argv, loads):
         probe = self.probe_command(*argv)
         assert probe["run"] == sorted(
             self.EAGER + [f"halinkit.{m}" for m in loads])
+
+    def test_an_input_error_loads_nothing_beyond_the_import(self):
+        probe = self.probe_command("aut", "--family", "cycle", "--n", "2",
+                                   code=2)
+        assert probe["run"] == self.EAGER
 
     def test_package_import_loads_submodules_on_first_use(self):
         probe = ("import json, sys\n"
@@ -773,8 +806,10 @@ class TestLazyExports:
         assert namespace["__version__"] == halinkit.__version__ == "0.1.0"
         for name in halinkit.__all__[1:]:
             obj = namespace[name]
-            assert obj.__module__.startswith("halinkit."), name
-            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            home = sys.modules[f"halinkit.{halinkit._HOME[name]}"]
+            assert getattr(home, name) is obj, name
+            # a class or function is defined in its home; an int has no module
+            assert getattr(obj, "__module__", home.__name__) == home.__name__, name
             assert getattr(halinkit, name) is obj, name
 
     def test_dir_lists_every_export(self):
@@ -793,16 +828,23 @@ class TestLazyExports:
         import halinkit.invariants
         assert (halinkit.BudgetExceededError
                 is halinkit.invariants.BudgetExceededError
-                is halinkit.groups.BudgetExceededError)
-        assert (cli.DEFAULT_SUBSET_BUDGET
-                == halinkit.invariants.DEFAULT_SUBSET_BUDGET
-                == halinkit.groups.DEFAULT_SUBSET_BUDGET == 10 ** 7)
+                is halinkit.groups.BudgetExceededError
+                is cli.BudgetExceededError)
+        assert (halinkit.DEFAULT_SUBSET_BUDGET
+                is cli.DEFAULT_SUBSET_BUDGET
+                is halinkit.invariants.DEFAULT_SUBSET_BUDGET
+                is halinkit.groups.DEFAULT_SUBSET_BUDGET)
+        assert cli.DEFAULT_SUBSET_BUDGET == 10 ** 7
 
     def test_cli_stand_ins_call_the_library(self):
         group = automorphism_group(cycle(6))
         from halinkit import invariants
         assert cli.determining_number(group) == invariants.determining_number(group)
         assert cli.motion.__name__ == "motion"
+        stand_in = cli.automorphism_group(cycle(6))
+        assert stand_in.order() == group.order() == 12
+        assert stand_in.generators == group.generators
+        assert cli.automorphism_group.__name__ == "automorphism_group"
 
 
 class TestGraphSizeLimit:
