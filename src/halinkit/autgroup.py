@@ -5,21 +5,22 @@ ascending, by the automorphism invariant f(v) = |N(N(v))| (McKay & Piperno
 2014), which splits regular graphs, and refined again; in a cell of degree d
 with 2d > n - 1, f is taken in the complement, whose neighbour sets are
 smaller there.  The search individualizes a vertex of the first largest cell
-at each node, refines with a splitter queue, and compares each leaf with the
-first leaf.  Exact rules prune it.  A node whose refinement trace leaves the
-first path's is dropped, and a subtree off the first path is left once it
-yields an automorphism (McKay 1981).  It ends at its first node whose
-non-singleton cells hold the vertices of the first path's at that depth (the
-early leaf of saucy, Darga, Sakallah & Markov 2008): gamma maps the first
-path's singletons to the node's and fixes the rest.  If gamma is an
-automorphism, the node is the gamma-image of the first path's, so its
-first-child descent individualizes the first path's vertices and its first
-leaf gives gamma: the same generator, in the same place.  First-path nodes
-explore or orbit-prune their whole cell, so the generators found are strong
-for the first path as base, and the chain is read off them, not
-Schreier-Sims.  A vertex is individualized by swapping it to the back of its
-cell, orbits are a union-find joined once per generator (nauty's
-``orbits``), and a candidate is tested only at the vertices it moves.
+at each node and refines with a splitter queue.  Exact rules prune it.  A
+node whose refinement trace leaves the first path's is dropped, and a
+subtree off the first path is left once it yields an automorphism (McKay
+1981): at its first node where gamma, the first path's node at that depth
+mapped onto this one place by place, is an automorphism (after saucy's
+early leaf, Darga, Sakallah & Markov 2008).  Singletons never move, so
+gamma fixes the first path's vertices above the subtree and maps the next
+to the subtree's own, as the map from the first leaf to any good leaf below
+does: both lie in one coset of the stabilizer of those base points, so the
+group at each step, the pruning and the base are those of a search to the
+leaves.  First-path nodes explore or orbit-prune their whole cell, so the
+generators found are strong for the first path as base, and the chain is
+read off them, not Schreier-Sims.  A vertex is individualized by swapping
+it to the back of its cell, orbits are a union-find joined once per
+generator (nauty's ``orbits``), and a candidate is tested only at the
+vertices it moves.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ def automorphism_group(g: Graph) -> PermGroup:
     n = g.n
     gens: list[Permutation] = []
     first_path: list[int] = []
-    # per first-path depth: node, non-singleton vertices, their cells
-    first: list[tuple[ColoredPartition, tuple[int, ...], tuple[int, ...]]] = []
+    first: list[ColoredPartition] = []  # the first path's node per depth
     targets: list[int] = []
     orbits = list(range(n))  # of all generators found so far
 
@@ -264,21 +264,15 @@ def automorphism_group(g: Graph) -> PermGroup:
         depth = len(path)
         cell, end = part.cell, part.end
         if lead == depth:
-            verts = tuple(v for v in part.lab if end[cell[v]] > cell[v] + 1)
-            first.append((part, verts, tuple(map(cell.__getitem__, verts))))
+            first.append(part)
         else:
-            # the early leaf (module docstring): the trace matched, so the
-            # cells have the first path's shape, and they hold its
-            # vertices whenever gamma is an automorphism
-            node, verts, starts = first[depth]
-            if tuple(map(cell.__getitem__, verts)) == starts:
-                images = list(map(part.lab.__getitem__, node.pos))
-                for v in verts:
-                    images[v] = v
-                if g.is_automorphism(images):
-                    gens.append(Permutation(images))
-                    _join(orbits, images)
-                    return True
+            # the trace matched, so the cells have the first path's shape;
+            # gamma maps the first path's node onto this one place by place
+            images = list(map(part.lab.__getitem__, first[depth].pos))
+            if g.is_automorphism(images):
+                gens.append(Permutation(images))
+                _join(orbits, images)
+                return True
         if part.is_discrete:
             return False
         if depth == len(targets):  # all nodes at a depth share the shape
@@ -301,7 +295,7 @@ def automorphism_group(g: Graph) -> PermGroup:
                     continue
             extends = len(first) == depth + 1
             child = refine(g, part._individualize(
-                v, None if extends else first[depth + 1][0].trace),
+                v, None if extends else first[depth + 1].trace),
                 _owned=True)
             if child is None:
                 continue
@@ -311,5 +305,8 @@ def automorphism_group(g: Graph) -> PermGroup:
                 return True
         return False
 
-    search(_root(g), (), 0)
+    try:
+        search(_root(g), (), 0)
+    finally:
+        del search  # it refers to itself: leave no cycle for the collector
     return PermGroup.from_strong_generators(n, gens, first_path)

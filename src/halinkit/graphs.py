@@ -16,6 +16,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress, count, repeat
+from math import isqrt
 
 from .perms import is_permutation
 
@@ -23,9 +24,8 @@ GRAPH6_HEADER = ">>graph6<<"
 # the graph6 forms of the vertex count n, shortest first:
 # (largest n, prefix, number of six-bit digits of n)
 _ORDER_FORMS = ((62, "", 1), (258047, "~", 3), (2 ** 36 - 1, "~~", 6))
-# each graph6 byte: its six bits, most significant first; and the inverse
-_SIX_BITS = {chr(v + 63): tuple(v >> s & 1 for s in range(5, -1, -1))
-             for v in range(64)}
+# each graph6 byte: its six bits, a "0"/"1" string; and the inverse
+_SIX_BITS = {chr(v + 63): f"{v:06b}" for v in range(64)}
 _BYTE_OF_BITS = {bits: byte for byte, bits in _SIX_BITS.items()}
 
 
@@ -207,12 +207,6 @@ def is_connected(g: Graph) -> bool:
 # graph6 codec (bit-exact, including the >= 63 vertex long forms)
 # ---------------------------------------------------------------------------
 
-def _pairs(n: int) -> Iterable[tuple[int, int]]:
-    """The pairs (i, j), i < j, column by column: the order of the bits."""
-    columns = range(1, n)
-    return chain.from_iterable(map(zip, map(range, columns), map(repeat, columns)))
-
-
 def _read_order(data: str, offset: int) -> tuple[int, int]:
     """n and the offset past it, read in the longest form whose prefix fits."""
     _, prefix, digits = next(form for form in reversed(_ORDER_FORMS)
@@ -253,10 +247,15 @@ def parse_graph6(text: str) -> Graph:
     if None in rows:
         k = offset + rows.index(None)
         raise Graph6Error(f"byte out of range: {data[k]!r}", k)
-    bits = list(chain.from_iterable(rows))
-    if any(bits[nbits:]):
+    bits = "".join(rows)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", offset + nbits // 6)
-    return Graph(n, compress(_pairs(n), bits))
+    edges, k = [], bits.find("1")
+    while k >= 0:  # bit k = j(j-1)/2 + i is the pair (i, j), i < j
+        j = (isqrt(8 * k + 1) + 1) // 2
+        edges.append((k - j * (j - 1) // 2, j))
+        k = bits.find("1", k + 1)
+    return Graph(n, edges)
 
 
 def encode_graph6(g: Graph, header: bool = False) -> str:
@@ -265,12 +264,12 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
     if not forms:
         raise ValueError("graph6 supports at most 2^36 - 1 vertices")
     _, prefix, digits = forms[0]
-    # the digits of n, then one bit per pair, zero-padded to whole bytes
-    bits = [g.n >> s & 1 for s in reversed(range(6 * digits))]
-    bits += map(g.edges.__contains__, _pairs(g.n))
-    bits += [0] * (-len(bits) % 6)
-    return ((GRAPH6_HEADER if header else "") + prefix
-            + "".join(map(_BYTE_OF_BITS.__getitem__, zip(*[iter(bits)] * 6))))
+    # the digits of n, a bit per pair (i, j) column by column, zero padding
+    bits = f"{g.n:0{6 * digits}b}" + "".join(
+        "01"[(i, j) in g.edges] for j in range(g.n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return ((GRAPH6_HEADER if header else "") + prefix + "".join(
+        _BYTE_OF_BITS[bits[k:k + 6]] for k in range(0, len(bits), 6)))
 
 
 # ---------------------------------------------------------------------------

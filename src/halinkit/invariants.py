@@ -129,11 +129,14 @@ def _least_subset(group: PermGroup, pred, budget: int, largest: int
             elif len(orbit) == h.order():
                 yield prefix + (x,)
 
-    for k in range(1, largest + 1):
-        for subset in bases(group, (), k):
-            if pred is None or pred(group, subset):
-                return k, subset
-    return None
+    try:
+        for k in range(1, largest + 1):
+            for subset in bases(group, (), k):
+                if pred is None or pred(group, subset):
+                    return k, subset
+        return None
+    finally:
+        del bases  # it refers to itself: leave no cycle for the collector
 
 
 def determining_number(

@@ -676,10 +676,12 @@ def is_automorphism_by_edge_scan(g, images):
 
 
 def automorphism_group_by_full_descent(g):
-    """The IR search without the early-leaf rule: every subtree off the
+    """The IR search that tests maps at leaves only: every subtree off the
     first path is descended to a leaf, whose map from the first leaf is
-    tested.  The library's search must list the same generators, in the
-    same order, on the same base."""
+    tested.  The library's search tests the place-by-place map at each node
+    and stops at the first that is an automorphism, so it must find the
+    same base and order and as many generators, each in the coset of this
+    one's by the stabilizer of the base points up to the first it moves."""
     from halinkit.autgroup import _root, refine
     from halinkit.groups import PermGroup
     from halinkit.perms import Permutation
@@ -736,3 +738,54 @@ def automorphism_group_by_full_descent(g):
 
     search(_root(g), (), True)
     return PermGroup.from_strong_generators(n, gens, first_path)
+
+
+def _pairs_by_columns(n):
+    """The pairs (i, j), i < j, column by column: graph6's bit order."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def parse_graph6_by_pairs(text):
+    """graph6 decoding that unpacks every bit and tests every vertex pair,
+    with the same checks, messages and offsets as ``parse_graph6``."""
+    from halinkit.graphs import GRAPH6_HEADER, Graph, Graph6Error, _read_order
+
+    data = text
+    while data and data[-1] in "\r\n":
+        data = data[:-1]
+    offset = 0
+    if data.startswith(">>"):
+        if not data.startswith(GRAPH6_HEADER):
+            raise Graph6Error("malformed graph6 header", 0)
+        offset = len(GRAPH6_HEADER)
+    if offset >= len(data):
+        raise Graph6Error("empty graph6 record", offset)
+    n, offset = _read_order(data, offset)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    have = len(data) - offset
+    if have < nbytes:
+        raise Graph6Error(
+            f"truncated adjacency data: need {nbytes} bytes, have {have}",
+            len(data))
+    if have > nbytes:
+        raise Graph6Error("trailing data after graph6 record", offset + nbytes)
+    bits = []
+    for k in range(offset, len(data)):
+        if not 63 <= ord(data[k]) <= 126:
+            raise Graph6Error(f"byte out of range: {data[k]!r}", k)
+        bits += [ord(data[k]) - 63 >> s & 1 for s in range(5, -1, -1)]
+    if any(bits[nbits:]):
+        raise Graph6Error("nonzero padding bits", offset + nbits // 6)
+    return Graph(n, [p for p, bit in zip(_pairs_by_columns(n), bits) if bit])
+
+
+def encode_graph6_by_bits(g):
+    """graph6 encoding from a list of 0/1 bits, six to a byte."""
+    digits = 1 if g.n <= 62 else 3 if g.n <= 258047 else 6
+    bits = [g.n >> s & 1 for s in reversed(range(6 * digits))]
+    bits += [int(p in g.edges) for p in _pairs_by_columns(g.n)]
+    bits += [0] * (-len(bits) % 6)
+    return {1: "", 3: "~", 6: "~~"}[digits] + "".join(
+        chr(63 + int("".join(map(str, bits[k:k + 6])), 2))
+        for k in range(0, len(bits), 6))

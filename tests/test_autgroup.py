@@ -260,6 +260,20 @@ class TestRefineMatchesCountsOracle:
         assert nones > 0
 
 
+def assert_same_cosets(got, want):
+    """The same base, order and generator count, and each generator p in
+    the coset q.G_(base[:i+1]) of the reference's q, where i is the first
+    base index that q moves."""
+    base = want.chain().base
+    assert got.chain().base == base
+    assert got.order() == want.order()
+    assert len(got.generators) == len(want.generators)
+    for p, q in zip(got.generators, want.generators):
+        i = next(i for i, b in enumerate(base) if q(b) != b)
+        r = q.inverse() * p
+        assert all(r(b) == b for b in base[:i + 1])
+
+
 def full_descent_graphs():
     """The n <= 8 corpus, oracle_graphs, combs, binary trees, cycles,
     K_{a,b}, unions of Petersen graphs, cycles and K_{2,3}, and Q3-Q6,
@@ -378,13 +392,12 @@ class TestAutomorphismGroup:
         assert calls["copy"] == calls["refine"] - len(graphs) > 0
 
     def test_same_generators_and_base_as_full_descent(self):
-        # the early-leaf rule ends a subtree at the generator its first
-        # leaf would give, so nothing else may change
+        # a subtree off the first path ends at its first node whose
+        # place-by-place map is an automorphism, in the coset of the
+        # generator its first good leaf would give
         for g in full_descent_graphs():
-            got, want = (automorphism_group(g),
-                         automorphism_group_by_full_descent(g))
-            assert got.generators == want.generators
-            assert got.chain().base == want.chain().base
+            assert_same_cosets(automorphism_group(g),
+                               automorphism_group_by_full_descent(g))
 
     def test_generators_and_bases_digest(self):
         # the generators and bases of the full-descent graphs, pinned by
@@ -396,7 +409,7 @@ class TestAutomorphismGroup:
                                             full_descent_graphs())],
                           separators=(",", ":"))
         assert hashlib.sha256(data.encode()).hexdigest() == (
-            "9629f19f5a42d9c6d6b06065aae57dd7d6a3a7ad44c1e7ae0419bbe36c38b910")
+            "fb0eaf5fa1ea942b8423d89a3e80f66bf3105f9e3cf75ae1380053c829fe401a")
 
     def test_off_path_orbit_pruning_matches_full_descent(self):
         # refinement cannot tell the Shrikhande graph's vertices from the
@@ -410,17 +423,18 @@ class TestAutomorphismGroup:
             images = list(range(g.n))
             rng.shuffle(images)
             for h in (g, g.relabel(images)):
-                got, want = (automorphism_group(h),
-                             automorphism_group_by_full_descent(h))
-                assert got.generators == want.generators
-                assert got.chain().base == want.chain().base
+                assert_same_cosets(automorphism_group(h),
+                                   automorphism_group_by_full_descent(h))
 
     def test_refine_count_is_linear_on_combs_edgeless_and_complete(
             self, monkeypatch):
-        # a subtree off the first path ends at its first node; descending
-        # each to a leaf made about n(n+1)/2 refines (7,503 on comb(120),
-        # 20,100 on the edgeless graph on 200 vertices, 5,050 on K100).
-        # Each candidate map the search tests is an automorphism here.
+        # a subtree off the first path ends at its first node, after one
+        # refine; descending each to a leaf made about n(n+1)/2 refines
+        # (7,503 on comb(120), 20,100 on the edgeless graph on 200
+        # vertices, 5,050 on K100), and descending each to the first node
+        # whose non-singleton cells held the first path's vertices made
+        # 362, 597 and 297.  Each candidate map the search tests is an
+        # automorphism here.
         import halinkit.autgroup as autgroup
         calls = {"refine": 0, "test": 0}
         refine_, test = autgroup.refine, Graph.is_automorphism
@@ -433,13 +447,30 @@ class TestAutomorphismGroup:
 
         monkeypatch.setattr(autgroup, "refine", counted("refine", refine_))
         monkeypatch.setattr(Graph, "is_automorphism", counted("test", test))
-        for g, count in ((comb(120).graph, 362), (Graph(200), 597),
-                         (complete(100), 297), (comb(10).graph, 32),
-                         (comb(40).graph, 122), (comb(80).graph, 242)):
+        for g, count in ((comb(120).graph, 243), (Graph(200), 399),
+                         (complete(100), 199), (comb(10).graph, 23),
+                         (comb(40).graph, 83), (comb(80).graph, 163)):
             calls.update(refine=0, test=0)
             gens = automorphism_group(g).generators
             assert calls["refine"] == count <= 4 * g.n
             assert calls["test"] == len(gens)
+
+    def test_binary_tree_8_takes_at_most_800_refines(
+            self, monkeypatch):
+        # an off-path node's non-singleton cells hold other vertices than
+        # the first path's until its swapped subtrees are discrete, so the
+        # early leaf that needed equal cells made 10,006 refines here
+        import halinkit.autgroup as autgroup
+        calls = [0]
+        refine_ = autgroup.refine
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return refine_(*args, **kwargs)
+
+        monkeypatch.setattr(autgroup, "refine", counted)
+        assert len(automorphism_group(binary_tree(8).graph).generators) == 255
+        assert calls[0] <= 800
 
     def test_orbit_pruning_generator_counts(self):
         # the generator list is part of aut's output; weaker orbit pruning

@@ -17,7 +17,8 @@ from halinkit.graphs import (GRAPH6_HEADER, Graph, Graph6Error,
                              parse_graph6, path, petersen, to_json)
 
 from corpus import small_corpus
-from oracles import is_connected_by_bfs
+from oracles import (encode_graph6_by_bits, is_connected_by_bfs,
+                     parse_graph6_by_pairs)
 
 
 class TestGraphType:
@@ -251,6 +252,67 @@ class TestConnectivity:
                                    max_size=2 * n)) if possible else []
         g = Graph(n, edges)
         assert is_connected(g) == is_connected_by_bfs(g)
+
+
+def decoded(parse, text):
+    """The graph, or the error's message and offset."""
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+class TestGraph6AgainstPairCodec:
+    """The codec reads and writes bit strings and finds the set bits; the
+    references in ``oracles`` unpack every bit and test every pair."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        for n in range(7):
+            nbits = n * (n - 1) // 2
+            for mask in range(1 << nbits):
+                bits = f"{mask:0{nbits}b}" if nbits else ""
+                bits += "0" * (-nbits % 6)
+                code = chr(63 + n) + "".join(
+                    chr(63 + int(bits[k:k + 6], 2))
+                    for k in range(0, len(bits), 6))
+                g = parse_graph6(code)
+                assert g == parse_graph6_by_pairs(code)
+                assert encode_graph6(g) == code
+
+    def test_corpus_random_graphs_and_the_order_forms_ends(self):
+        rng = random.Random(37)
+        graphs = [g for _, g in small_corpus()]
+        for _ in range(100):
+            n = rng.randrange(101)
+            p = rng.random()
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2)
+                                    if rng.random() < p]))
+        for n in (62, 63):
+            graphs += [Graph(n), complete(n), cycle(n), Graph(
+                n, [e for e in combinations(range(n), 2) if rng.random() < .3])]
+        for g in graphs:
+            code = encode_graph6(g)
+            assert code == encode_graph6_by_bits(g)
+            assert parse_graph6(code) == parse_graph6_by_pairs(code) == g
+            assert (parse_graph6(GRAPH6_HEADER + code + "\n")
+                    == parse_graph6_by_pairs(GRAPH6_HEADER + code + "\n"))
+
+    def test_malformed_records_fail_alike(self):
+        rng = random.Random(38)
+        texts = ["", ">>graph", ">>graph6<<", "~", "~~", "\n", "A" + chr(64)]
+        for g in (Graph(1), cycle(5), petersen(), cycle(62), cycle(63),
+                  complete(13)):
+            code = encode_graph6(g)
+            texts += [code[:k] for k in range(len(code))]
+            texts += [code + "?", code + "\r\n", code[:-1] + "~",
+                      code[:-1] + chr(ord(code[-1]) + 1)]
+            for _ in range(10):
+                k = rng.randrange(len(code))
+                texts.append(code[:k] + rng.choice(" \x7f\u00e9~?")
+                             + code[k + 1:])
+        for text in texts:
+            assert (decoded(parse_graph6, text)
+                    == decoded(parse_graph6_by_pairs, text)), text
 
 
 class TestGraph6:

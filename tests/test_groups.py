@@ -527,7 +527,7 @@ class TestChainLevels:
                      [list(p.images) for p in point.elements()]],
                     separators=(",", ":")).encode())
         assert digest.hexdigest() == (
-            "78f6532b95c874652841bf508442d75378f11351bca271737039fb8d72c8f58e")
+            "a206cc5a6623f2e63978dbe0b4f5f4bb57b3510b9735af78d727edd9382b131e")
 
 
 class TestSchreierTrees:

@@ -1,11 +1,12 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halinkit.autgroup import automorphism_group
-from halinkit.graphs import (Graph, complete, complete_bipartite, cycle, path,
-                             petersen)
+from halinkit.graphs import (Graph, binary_tree, comb, complete,
+                             complete_bipartite, cycle, path, petersen)
 from halinkit.invariants import (Bounds, BudgetExceededError, StabilizerChain,
                                  bounds,
                                  determining_number, disjoint_translate,
@@ -482,3 +483,51 @@ class TestRelabeling:
             b.point_stabilizer(moved).order()
         assert a.set_stabilizer(points).order() == \
             b.set_stabilizer(moved).order()
+
+
+class TestNoCyclicGarbage:
+    """Each library call of aut, base, cost, motion and greedy frees all it
+    made by reference counting: with the collector off, a collection right
+    after it finds nothing.  The searches' recursive closures refer to
+    themselves, so each would leave its state for the collector."""
+
+    GRAPHS = [g for _, g in small_corpus()[::23]] + [
+        petersen(), cycle(12), hypercube(3), binary_tree(3).graph,
+        comb(5).graph]
+
+    def test_collector_finds_nothing_after_each_call(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for g in self.GRAPHS + [binary_tree(4).graph, comb(12).graph]:
+                group = aut(g)
+                assert gc.collect() == 0, g
+                if g not in self.GRAPHS or group.is_trivial():
+                    continue
+                size, witness = determining_number(group)
+                assert gc.collect() == 0, g
+                distinguishing_cost(group)
+                assert gc.collect() == 0, g
+                motion(group)
+                assert gc.collect() == 0, g
+                greedy_distinguishing_chain(group, witness)
+                assert gc.collect() == 0, g
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_collector_finds_nothing_after_a_budget_stop(self):
+        group = aut(petersen())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            try:
+                determining_number(group, budget=5)
+            except BudgetExceededError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
